@@ -4,7 +4,8 @@
 GO ?= go
 
 .PHONY: all build test race bench bench-json serve lint cover fmt \
-	apicheck api-baseline examples quality fuzz crashsafety logcheck
+	apicheck api-baseline examples quality fuzz crashsafety logcheck \
+	perfbench-test
 
 # Minimum total statement coverage accepted by `make cover` (percent).
 COVER_FLOOR ?= 70
@@ -86,7 +87,8 @@ quality:
 # Native fuzzing smoke over the untrusted-input parsers — model
 # artifacts (core.ReadModelJSON, behind LoadModel), CSV uploads
 # (dataset.ReadCSV), JSONL row appends (dataset.ScanJSONL), the
-# curator's on-disk row record codec — plus the differential counting
+# curator's on-disk row record codec and count-store codec
+# (counts.ReadStore) — plus the differential counting
 # fuzz pinning the popcount kernel to the legacy row-major counts.
 # FUZZTIME bounds each target; the nightly workflow runs with a larger
 # budget.
@@ -95,7 +97,14 @@ fuzz:
 	$(GO) test -run NONE -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run NONE -fuzz 'FuzzScanJSONL$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run NONE -fuzz 'FuzzAppendRows$$' -fuzztime $(FUZZTIME) ./internal/curator
+	$(GO) test -run NONE -fuzz 'FuzzReadStore$$' -fuzztime $(FUZZTIME) ./internal/counts
 	$(GO) test -run NONE -fuzz 'FuzzColumnarCounts$$' -fuzztime $(FUZZTIME) ./internal/marginal
+
+# The end-to-end benchmark (perfbench/) is its own Go module, so the
+# root `go build ./...` never compiles it: vet and test it on its own,
+# so a change to an API it calls fails here instead of at benchmark time.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Crash-loop harness over the real binary: kill -9 privbayesd at points
 # spread across a curator fit and across the continuous-curation

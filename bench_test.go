@@ -129,7 +129,7 @@ func BenchmarkFit(b *testing.B) {
 	ds := nltcsData(5000)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
-		_, err := core.Fit(ds, core.Options{
+		_, err := core.Fit(context.Background(), ds, core.Options{
 			Epsilon: 0.8, Beta: 0.3, Theta: 4, K: -1, MaxK: 3,
 			Mode: core.ModeBinary, Score: score.F, Rand: rng,
 		})
@@ -143,7 +143,7 @@ func BenchmarkFit(b *testing.B) {
 func BenchmarkSample(b *testing.B) {
 	ds := nltcsData(5000)
 	rng := rand.New(rand.NewSource(2))
-	m, err := core.Fit(ds, core.Options{
+	m, err := core.Fit(context.Background(), ds, core.Options{
 		Epsilon: 0.8, Beta: 0.3, Theta: 4, K: -1, MaxK: 3,
 		Mode: core.ModeBinary, Score: score.F, Rand: rng,
 	})
@@ -152,7 +152,7 @@ func BenchmarkSample(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Sample(1000, rng)
+		m.SampleP(1000, rng, 1)
 	}
 }
 
@@ -169,7 +169,7 @@ func BenchmarkMaterialize(b *testing.B) {
 
 // Serial-vs-parallel benchmarks for the execution engine
 // (internal/parallel). Each pair runs the same work at Parallelism 1
-// (the legacy serial code paths) and at 4 workers; on a >= 4 core
+// (one worker) and at 4 workers; on a >= 4 core
 // machine the parallel marginal-counting and sampling variants target
 // >= 2x throughput, while output stays deterministic for a fixed seed
 // (see TestFitBitIdenticalAcrossParallelism and friends in
@@ -210,7 +210,7 @@ func BenchmarkFitParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("d=%d/workers=%d", d, par), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
 				for i := 0; i < b.N; i++ {
-					_, err := core.Fit(ds, core.Options{
+					_, err := core.Fit(context.Background(), ds, core.Options{
 						Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2,
 						Mode: core.ModeBinary, Score: score.F,
 						Parallelism: par, Rand: rng,
@@ -233,7 +233,7 @@ func BenchmarkSynthesizeParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("d=%d/workers=%d", d, par), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(2))
 				for i := 0; i < b.N; i++ {
-					_, err := core.Synthesize(ds, core.Options{
+					_, err := core.Synthesize(context.Background(), ds, core.Options{
 						Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2,
 						Mode: core.ModeBinary, Score: score.F,
 						Parallelism: par, Rand: rng,
@@ -267,7 +267,7 @@ func BenchmarkMaterializeParallel(b *testing.B) {
 func BenchmarkSampleParallelWorkers(b *testing.B) {
 	ds := binaryChainData(5000, 16, 4)
 	rng := rand.New(rand.NewSource(5))
-	m, err := core.Fit(ds, core.Options{
+	m, err := core.Fit(context.Background(), ds, core.Options{
 		Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2,
 		Mode: core.ModeBinary, Score: score.F, Rand: rng,
 	})
@@ -298,7 +298,7 @@ func fitQueryBenchModel(b *testing.B, d int) *Model {
 	b.Helper()
 	ds := binaryChainData(4000, d, 7)
 	rng := rand.New(rand.NewSource(9))
-	m, err := core.Fit(ds, core.Options{
+	m, err := core.Fit(context.Background(), ds, core.Options{
 		Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2,
 		Mode: core.ModeBinary, Score: score.F, Rand: rng,
 	})
@@ -357,14 +357,14 @@ func BenchmarkSynthesizeThenScan(b *testing.B) {
 }
 
 // BenchmarkAblationInferenceVsSampling quantifies the Section 7
-// extension implemented in core.Model.InferMarginal: answering a
+// extension implemented in core.Model.Query: answering a
 // 2-way marginal directly from the model removes the sampling error of
 // the released dataset. Reported metrics are the TVD of each strategy
 // against the sensitive data (lower is better).
 func BenchmarkAblationInferenceVsSampling(b *testing.B) {
 	ds := nltcsData(8000)
 	rng := rand.New(rand.NewSource(5))
-	m, err := core.Fit(ds, core.Options{
+	m, err := core.Fit(context.Background(), ds, core.Options{
 		Epsilon: 0.8, Beta: 0.3, Theta: 4, K: -1, MaxK: 3,
 		Mode: core.ModeBinary, Score: score.F, Rand: rng,
 	})
@@ -375,12 +375,13 @@ func BenchmarkAblationInferenceVsSampling(b *testing.B) {
 	truth := marginal.Materialize(ds, vars)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		syn := m.Sample(ds.N(), rng)
+		syn := m.SampleP(ds.N(), rng, 0)
 		sampled := marginal.Materialize(syn, vars)
-		inferred, err := m.InferMarginal([]int{0, 1}, 0)
+		res, err := m.Query(context.Background(), core.Marginal(ds.Attr(0).Name, ds.Attr(1).Name))
 		if err != nil {
 			b.Fatal(err)
 		}
+		inferred := res.Table()
 		b.ReportMetric(marginal.TVD(truth, sampled), "tvd-sampled")
 		b.ReportMetric(marginal.TVD(truth, inferred), "tvd-inferred")
 	}

@@ -33,7 +33,7 @@ func main() {
 		maxK       = flag.Int("maxk", 5, "cap on the binary-mode network degree (0 = uncapped)")
 		subsets    = flag.Int("queries", 400, "evaluate at most this many Qα subsets (0 = all)")
 		heavy      = flag.Bool("heavy", false, "enable full-domain baselines on ACS (slow)")
-		par        = flag.Int("parallelism", 0, "worker pool size per run (0 = all cores, 1 = serial)")
+		par        = flag.Int("parallelism", 0, "worker pool size per run (0 = all cores; output is identical at every value)")
 		epsFlag    = flag.String("eps", "", "comma-separated ε grid override")
 		listOnly   = flag.Bool("list", false, "list runnable experiment ids and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")

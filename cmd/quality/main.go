@@ -48,7 +48,7 @@ func main() {
 		epsFlag   = flag.String("eps", "", "comma-separated ε sweep override (default 0.1,1,10)")
 		check     = flag.Bool("check", true, "exit 1 when any calibrated threshold is violated")
 		sabotage  = flag.Bool("sabotage", false, "deliberately break the release (gate self-test; must fail)")
-		par       = flag.Int("parallelism", 2, "worker bound; any value other than 1 is bit-identical across machines")
+		par       = flag.Int("parallelism", 2, "worker bound; output is bit-identical at every value, across machines")
 		sampleTVD = flag.Bool("sample-tvd", false, "compute TVD from the synthetic sample's empirical marginals instead of exact model inference")
 	)
 	cliutil.Parse("quality", "statistical quality sweep and regression gate over ground-truth scenarios")

@@ -72,7 +72,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		syn := model.Sample(ds.N(), rand.New(rand.NewSource(10)))
+		syn := model.SampleP(ds.N(), rand.New(rand.NewSource(10)), 0)
 		avd := eval.AVD(&baseline.Dataset{DS: syn})
 
 		fmt.Printf("%s encoding (ε = %g):\n", name, eps)

@@ -27,7 +27,7 @@ func Fit(ctx context.Context, ds *Dataset, opts ...Option) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.FitContext(ctx, ds, opt)
+	return core.Fit(ctx, ds, opt)
 }
 
 // Synthesize fits a model and materializes a synthetic dataset with
@@ -40,7 +40,7 @@ func Synthesize(ctx context.Context, ds *Dataset, opts ...Option) (*Dataset, err
 	if err != nil {
 		return nil, err
 	}
-	return core.SynthesizeContext(ctx, ds, opt)
+	return core.Synthesize(ctx, ds, opt)
 }
 
 // Fitter is a reusable, immutable bundle of fitting options — build it
@@ -69,7 +69,7 @@ func (f *Fitter) Fit(ctx context.Context, ds *Dataset, opts ...Option) (*Model, 
 	if err != nil {
 		return nil, err
 	}
-	return core.FitContext(ctx, ds, opt)
+	return core.Fit(ctx, ds, opt)
 }
 
 // Synthesize fits and samples ds.N() rows, like the package-level
@@ -79,7 +79,7 @@ func (f *Fitter) Synthesize(ctx context.Context, ds *Dataset, opts ...Option) (*
 	if err != nil {
 		return nil, err
 	}
-	return core.SynthesizeContext(ctx, ds, opt)
+	return core.Synthesize(ctx, ds, opt)
 }
 
 // Session binds a Fitter to one dataset for repeated fitting — the
@@ -128,7 +128,7 @@ func (s *Session) Fit(ctx context.Context, opts ...Option) (*Model, error) {
 		return nil, err
 	}
 	opt.Scorer = s.scorer(opt.Score, opt.ScorerCacheSize)
-	return core.FitContext(ctx, s.ds, opt)
+	return core.Fit(ctx, s.ds, opt)
 }
 
 // Synthesize fits and samples n rows (n <= 0 means the dataset's row
@@ -140,14 +140,14 @@ func (s *Session) Synthesize(ctx context.Context, n int, opts ...Option) (*Datas
 		return nil, err
 	}
 	opt.Scorer = s.scorer(opt.Score, opt.ScorerCacheSize)
-	m, err := core.FitContext(ctx, s.ds, opt)
+	m, err := core.Fit(ctx, s.ds, opt)
 	if err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		n = s.ds.N()
 	}
-	return m.SampleContextProgress(ctx, n, opt.Rand, opt.Parallelism, opt.Progress)
+	return m.SampleContext(ctx, n, opt.Rand, opt.Parallelism, opt.Progress)
 }
 
 // scorer returns the session's shared scorer for fn, creating it on

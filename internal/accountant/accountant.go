@@ -5,16 +5,15 @@
 // dataset D composes sequentially, so the serving daemon must refuse a
 // fit whose ε would push D's cumulative spend past its budget.
 //
-// Durability comes in two grades. OpenWAL (the serving default) commits
-// every mutation through an append-only, checksummed, fsync'd
-// write-ahead log (internal/wal) before acknowledging it, so a crash at
-// any instant — kill -9 mid-append included — can never lose an
+// OpenWAL opens a durable ledger: it commits every mutation through an
+// append-only, checksummed, fsync'd write-ahead log (internal/wal)
+// before acknowledging it, so a crash at any instant — kill -9 mid-append included — can never lose an
 // acknowledged charge nor double-spend ε on recovery; the log compacts
 // itself into checkpoints as it grows, and charges may carry an
 // idempotency key so a retried fit after an ambiguous failure charges
-// exactly once even across a crash and restart. Open (legacy) persists
-// the whole ledger as a JSON document via atomic rename with file and
-// directory fsync; OpenWAL migrates such files in place.
+// exactly once even across a crash and restart. Ledgers written by
+// earlier releases as one JSON document are migrated in place by
+// OpenWAL.
 package accountant
 
 import (
@@ -23,11 +22,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"sort"
 	"sync"
 
-	"privbayes/internal/faultfs"
 	"privbayes/internal/wal"
 )
 
@@ -97,10 +94,11 @@ func (e Entry) Remaining() float64 {
 	return 0
 }
 
-// ledgerVersion guards the persisted format.
+// ledgerVersion guards the legacy JSON format.
 const ledgerVersion = 1
 
-// ledgerJSON is the on-disk document.
+// ledgerJSON is the legacy on-disk document: the whole ledger rewritten
+// on every mutation. OpenWAL still reads it, to migrate it in place.
 type ledgerJSON struct {
 	Version       int              `json:"version"`
 	DefaultBudget float64          `json:"default_budget"`
@@ -115,7 +113,6 @@ type ledgerJSON struct {
 type Ledger struct {
 	mu            sync.Mutex
 	path          string // "" = in-memory only
-	fs            faultfs.FS
 	defaultBudget float64
 	datasets      map[string]Entry
 
@@ -153,35 +150,8 @@ func New(defaultBudget float64) *Ledger {
 	if !(defaultBudget > 0) {
 		panic(fmt.Sprintf("accountant: default budget must be positive, got %g", defaultBudget))
 	}
-	return &Ledger{defaultBudget: defaultBudget, fs: faultfs.OS,
+	return &Ledger{defaultBudget: defaultBudget,
 		datasets: map[string]Entry{}, keys: map[string]KeyInfo{}}
-}
-
-// Open creates a legacy JSON file-backed ledger at path, loading
-// existing state if the file exists. The file's recorded per-dataset
-// budgets win over defaultBudget; defaultBudget applies to datasets
-// first seen later. New deployments should prefer OpenWAL, which
-// survives crashes mid-write; Open remains for the rewrite-everything
-// JSON format.
-func Open(path string, defaultBudget float64) (*Ledger, error) {
-	if !(defaultBudget > 0) {
-		return nil, fmt.Errorf("accountant: default budget must be positive, got %g", defaultBudget)
-	}
-	l := &Ledger{path: path, fs: faultfs.OS, defaultBudget: defaultBudget,
-		datasets: map[string]Entry{}, keys: map[string]KeyInfo{}}
-	raw, err := l.fs.ReadFile(path)
-	if isNotExist(err) {
-		return l, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("accountant: read ledger: %w", err)
-	}
-	entries, err := parseLegacy(path, raw)
-	if err != nil {
-		return nil, err
-	}
-	l.datasets = entries
-	return l, nil
 }
 
 // parseLegacy decodes and validates the rewrite-everything JSON format.
@@ -442,9 +412,9 @@ func (l *Ledger) Datasets() []string {
 func (l *Ledger) Path() string { return l.path }
 
 // commitLocked makes one mutation durable before it is acknowledged:
-// in WAL mode it appends a single fsync'd record (and opportunistically
-// compacts the log), in legacy mode it rewrites the whole JSON document
-// atomically. In-memory ledgers commit trivially. Callers hold l.mu.
+// it appends a single fsync'd WAL record (and opportunistically
+// compacts the log). In-memory ledgers commit trivially. Callers hold
+// l.mu.
 func (l *Ledger) commitLocked(rec walRecord) error {
 	if err := l.commitRawLocked(rec); err != nil {
 		l.m.persistFailed()
@@ -454,62 +424,26 @@ func (l *Ledger) commitLocked(rec walRecord) error {
 }
 
 func (l *Ledger) commitRawLocked(rec walRecord) error {
-	if l.log != nil {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("%w: encode record: %v", ErrPersist, err)
+	if l.log == nil {
+		if l.path != "" {
+			return fmt.Errorf("%w: ledger %s is closed", ErrPersist, l.path)
 		}
-		if err := l.log.Append(payload); err != nil {
-			return fmt.Errorf("%w: %v", ErrPersist, err)
-		}
-		l.maybeCompactLocked()
 		return nil
 	}
-	return l.persistLocked()
-}
-
-// persistLocked writes the ledger durably in the legacy JSON format:
-// temp file in the same directory, file fsync, atomic rename, then
-// directory fsync so the rename itself survives a crash. Callers hold
-// l.mu. Failures wrap ErrPersist.
-func (l *Ledger) persistLocked() error {
-	if l.path == "" {
-		return nil
-	}
-	doc := ledgerJSON{Version: ledgerVersion, DefaultBudget: l.defaultBudget, Datasets: l.datasets}
-	raw, err := json.MarshalIndent(doc, "", "  ")
+	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("%w: encode: %v", ErrPersist, err)
+		return fmt.Errorf("%w: encode record: %v", ErrPersist, err)
 	}
-	dir := filepath.Dir(l.path)
-	tmp, err := l.fs.CreateTemp(dir, ".ledger-*.json")
-	if err != nil {
+	if err := l.log.Append(payload); err != nil {
 		return fmt.Errorf("%w: %v", ErrPersist, err)
 	}
-	_, werr := tmp.Write(append(raw, '\n'))
-	// fsync before rename: otherwise the rename can land while the data
-	// has not, and a crash leaves a durable name on torn content.
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		l.fs.Remove(tmp.Name())
-		return fmt.Errorf("%w: write %v, sync %v, close %v", ErrPersist, werr, serr, cerr)
-	}
-	if err := l.fs.Rename(tmp.Name(), l.path); err != nil {
-		l.fs.Remove(tmp.Name())
-		return fmt.Errorf("%w: %v", ErrPersist, err)
-	}
-	if err := l.fs.SyncDir(dir); err != nil {
-		// The rename happened but is not yet guaranteed durable, so the
-		// mutation cannot be acknowledged; the caller rolls back and the
-		// next successful persist rewrites the file either way.
-		return fmt.Errorf("%w: sync dir: %v", ErrPersist, err)
-	}
+	l.maybeCompactLocked()
 	return nil
 }
 
-// Close releases the WAL append handle (no-op for legacy and in-memory
-// ledgers). Every acknowledged mutation is already durable.
+// Close releases the WAL append handle (no-op for in-memory ledgers).
+// Every acknowledged mutation is already durable; later mutations fail
+// with ErrPersist.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -152,10 +152,11 @@ func TestConcurrentCharges(t *testing.T) {
 // the race detector sees every lock interaction.
 func TestConcurrentMixedOps(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(filepath.Join(dir, "ledger.json"), 100)
+	l, err := OpenWAL(filepath.Join(dir, "ledger"), 100, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -180,8 +181,8 @@ func TestConcurrentMixedOps(t *testing.T) {
 
 func TestPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "ledger.json")
-	l, err := Open(path, 2.0)
+	path := filepath.Join(dir, "ledger")
+	l, err := OpenWAL(path, 2.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +196,15 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	l.Close()
+
 	// A fresh process opens the same file: spend and budgets survive,
 	// and the budget keeps binding across restarts.
-	back, err := Open(path, 2.0)
+	back, err := OpenWAL(path, 2.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	if e := back.Get("adult"); e.Spent != 0.7 || e.Budget != 2.0 {
 		t.Errorf("adult entry = %+v", e)
 	}
@@ -212,34 +216,46 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsCorruptLedger: a legacy JSON ledger OpenWAL cannot
+// trust refuses startup and is left untouched — never migrated into an
+// empty or partial WAL that would forget recorded spend.
 func TestOpenRejectsCorruptLedger(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ledger.json")
 	cases := map[string]string{
-		"garbage":        "not json",
+		// Garbage must start with '{': only such files are routed to the
+		// legacy parser (anything else is read as a WAL).
+		"garbage":        `{not json`,
 		"wrong version":  `{"version":99,"datasets":{}}`,
 		"negative spend": `{"version":1,"datasets":{"d":{"spent":-1,"budget":1}}}`,
 		"zero budget":    `{"version":1,"datasets":{"d":{"spent":0,"budget":0}}}`,
+		// Some other JSON document — a model artifact, say — landed on
+		// the ledger path.
+		"unknown field": `{"version":1,"datasets":{},"network":[]}`,
+		// JSON has no NaN literal, so this fails at decode time.
+		"NaN spend": `{"version":1,"datasets":{"d":{"spent":NaN,"budget":1}}}`,
 	}
 	for name, raw := range cases {
-		if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
-			t.Fatal(err)
+		path := filepath.Join(t.TempDir(), "ledger.json")
+		writeLegacyLedger(t, path, raw)
+		if l, err := OpenWAL(path, 1, Options{}); err == nil {
+			l.Close()
+			t.Errorf("%s: OpenWAL must fail", name)
 		}
-		if _, err := Open(path, 1); err == nil {
-			t.Errorf("%s: Open must fail", name)
+		if got, err := os.ReadFile(path); err != nil || string(got) != raw {
+			t.Errorf("%s: refused ledger was modified (%q, %v)", name, got, err)
 		}
 	}
 }
 
 func TestOpenMissingFileStartsEmpty(t *testing.T) {
-	l, err := Open(filepath.Join(t.TempDir(), "fresh.json"), 1.5)
+	l, err := OpenWAL(filepath.Join(t.TempDir(), "fresh"), 1.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	if e := l.Get("x"); e.Spent != 0 || e.Budget != 1.5 {
 		t.Errorf("fresh entry = %+v", e)
 	}
-	if _, err := Open(filepath.Join(t.TempDir(), "x.json"), 0); err == nil {
+	if _, err := OpenWAL(filepath.Join(t.TempDir(), "x"), 0, Options{}); err == nil {
 		t.Error("non-positive default budget must be rejected")
 	}
 }

@@ -49,18 +49,49 @@ func TestOpenWALRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenWALMigratesLegacyJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.json")
-	legacy, err := Open(path, 2.0)
+// writeLegacyLedger writes a hand-written ledger in the legacy JSON
+// format — one document, rewritten whole on every mutation by releases
+// before the WAL — for OpenWAL to migrate.
+func writeLegacyLedger(t *testing.T, path, doc string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClosedLedgerRefusesMutations: once Close has released the WAL, a
+// mutation cannot be made durable, so it must fail with ErrPersist and
+// leave the ledger unchanged rather than be acknowledged in memory.
+func TestClosedLedgerRefusesMutations(t *testing.T) {
+	l, err := OpenWAL(filepath.Join(t.TempDir(), "ledger"), 2.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Charge("survey", 0.7); err != nil {
+	if err := l.Charge("d", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.SetBudget("other", 9.0); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := l.Charge("d", 0.1); !errors.Is(err, ErrPersist) {
+		t.Fatalf("charge after Close: err = %v, want ErrPersist", err)
+	}
+	if e := l.Get("d"); e.Spent != 0.5 {
+		t.Fatalf("spent = %g after a refused charge, want 0.5", e.Spent)
+	}
+}
+
+func TestOpenWALMigratesLegacyJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	writeLegacyLedger(t, path, `{
+  "version": 1,
+  "default_budget": 2,
+  "datasets": {
+    "other": {"spent": 0, "budget": 9},
+    "survey": {"spent": 0.7, "budget": 2}
+  }
+}
+`)
 
 	l, err := OpenWAL(path, 2.0, Options{})
 	if err != nil {
@@ -412,16 +443,8 @@ func TestCrashSweepLedger(t *testing.T) {
 func TestCrashSweepLegacyMigration(t *testing.T) {
 	makeLegacy := func(t *testing.T) string {
 		path := filepath.Join(t.TempDir(), "ledger.json")
-		l, err := Open(path, 2.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Charge("x", 0.9); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.SetBudget("y", 7.0); err != nil {
-			t.Fatal(err)
-		}
+		writeLegacyLedger(t, path,
+			`{"version":1,"default_budget":2,"datasets":{"x":{"spent":0.9,"budget":2},"y":{"spent":0,"budget":7}}}`)
 		return path
 	}
 
@@ -504,23 +527,19 @@ func TestConcurrentChargesDuringCompaction(t *testing.T) {
 	}
 }
 
-// TestLegacyPersistFaultRollsBack injects a failure into the legacy
-// JSON path's fsync: the charge must report ErrPersist and leave the
-// in-memory ledger unchanged.
+// TestLegacyPersistFaultRollsBack injects a failure into each
+// filesystem op of a WAL append (write, fsync) on a ledger migrated
+// from the legacy JSON format: the charge must report ErrPersist and
+// leave the in-memory ledger unchanged, and recovery must agree.
 func TestLegacyPersistFaultRollsBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.json")
-	l, err := Open(path, 2.0)
+	writeLegacyLedger(t, path, `{"version":1,"default_budget":2,"datasets":{"d":{"spent":0.5,"budget":2}}}`)
+	fault := faultfs.NewFault(nil)
+	l, err := OpenWAL(path, 2.0, Options{FS: fault})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Charge("d", 0.5); err != nil {
-		t.Fatal(err)
-	}
-	fault := faultfs.NewFault(nil)
-	l.fs = fault
-	// Ops per legacy persist: createtemp, write, sync, close, rename,
-	// syncdir. Fail each in turn; every failure must roll back.
-	for i := int64(1); i <= 6; i++ {
+	for i := int64(1); i <= 2; i++ {
 		fault.FailAt(fault.Ops()+i, nil)
 		err := l.Charge("d", 0.1)
 		if !errors.Is(err, ErrPersist) {
@@ -536,5 +555,16 @@ func TestLegacyPersistFaultRollsBack(t *testing.T) {
 	}
 	if e := l.Get("d"); math.Abs(e.Spent-0.6) > 1e-12 {
 		t.Fatalf("spent = %g, want 0.6", e.Spent)
+	}
+	l.Close()
+	// Records carry post-state, so a record whose fsync failed but
+	// which reached the file replays to the same spend.
+	back, err := OpenWAL(path, 2.0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if e := back.Get("d"); math.Abs(e.Spent-0.6) > 1e-12 {
+		t.Fatalf("recovered spent = %g, want 0.6", e.Spent)
 	}
 }

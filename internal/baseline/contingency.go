@@ -50,26 +50,6 @@ func NewContingency(ds *dataset.Dataset, epsilon float64, rng *rand.Rand) *Conti
 // Marginal projects the noisy full table onto the requested attributes.
 func (c *Contingency) Marginal(attrs []int) *marginal.Table {
 	out := marginal.NewTable(c.ds, rawVars(attrs))
-	// Strides of each requested attribute in the full row-major table
-	// (last attribute fastest).
-	strides := make([]int, len(c.dims))
-	s := 1
-	for a := len(c.dims) - 1; a >= 0; a-- {
-		strides[a] = s
-		s *= c.dims[a]
-	}
-	outStride := make([]int, len(attrs))
-	os := 1
-	for i := len(attrs) - 1; i >= 0; i-- {
-		outStride[i] = os
-		os *= c.dims[attrs[i]]
-	}
-	for idx, p := range c.full {
-		o := 0
-		for i, a := range attrs {
-			o += idx / strides[a] % c.dims[a] * outStride[i]
-		}
-		out.P[o] += p
-	}
+	projectDomain(c.full, c.dims, attrs, out.P)
 	return out
 }

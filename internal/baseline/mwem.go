@@ -109,29 +109,21 @@ func (m *MWEM) project(attrs []int) []float64 {
 		outSize *= m.dims[a]
 	}
 	out := make([]float64, outSize)
-	strides, outStride := m.strides(attrs)
-	for idx, p := range m.a {
-		o := 0
-		for i, a := range attrs {
-			o += idx / strides[a] % m.dims[a] * outStride[i]
-		}
-		out[o] += p
-	}
+	projectDomain(m.a, m.dims, attrs, out)
 	return out
 }
 
 // projectCell returns one marginal cell's mass.
 func (m *MWEM) projectCell(attrs []int, cell int) float64 {
-	strides, outStride := m.strides(attrs)
+	w := newDomainWalk(m.dims, attrs)
 	var sum float64
-	for idx, p := range m.a {
-		o := 0
-		for i, a := range attrs {
-			o += idx / strides[a] % m.dims[a] * outStride[i]
+	for lo := 0; lo < len(m.a); lo += w.run {
+		if w.o == cell {
+			for _, p := range m.a[lo : lo+w.run] {
+				sum += p
+			}
 		}
-		if o == cell {
-			sum += p
-		}
+		w.next()
 	}
 	return sum
 }
@@ -139,18 +131,20 @@ func (m *MWEM) projectCell(attrs []int, cell int) float64 {
 // updateCell multiplies the full-domain cells inside the marginal cell
 // by exp(factor) and renormalizes.
 func (m *MWEM) updateCell(attrs []int, cell int, factor float64) {
-	strides, outStride := m.strides(attrs)
+	w := newDomainWalk(m.dims, attrs)
 	mult := math.Exp(factor)
 	var total float64
-	for idx := range m.a {
-		o := 0
-		for i, a := range attrs {
-			o += idx / strides[a] % m.dims[a] * outStride[i]
+	for lo := 0; lo < len(m.a); lo += w.run {
+		run := m.a[lo : lo+w.run]
+		if w.o == cell {
+			for i := range run {
+				run[i] *= mult
+			}
 		}
-		if o == cell {
-			m.a[idx] *= mult
+		for _, p := range run {
+			total += p
 		}
-		total += m.a[idx]
+		w.next()
 	}
 	if total > 0 {
 		inv := 1 / total
@@ -158,22 +152,6 @@ func (m *MWEM) updateCell(attrs []int, cell int, factor float64) {
 			m.a[idx] *= inv
 		}
 	}
-}
-
-func (m *MWEM) strides(attrs []int) (full []int, out []int) {
-	full = make([]int, len(m.dims))
-	s := 1
-	for a := len(m.dims) - 1; a >= 0; a-- {
-		full[a] = s
-		s *= m.dims[a]
-	}
-	out = make([]int, len(attrs))
-	os := 1
-	for i := len(attrs) - 1; i >= 0; i-- {
-		out[i] = os
-		os *= m.dims[attrs[i]]
-	}
-	return full, out
 }
 
 // Marginal implements MarginalSource by projecting the learned

@@ -10,7 +10,7 @@ import (
 	"privbayes/internal/parallel"
 )
 
-// NoisyConditionalsBinary implements Algorithm 1: for pairs i ∈ [k+1, d]
+// noisyConditionalsBinary implements Algorithm 1: for pairs i ∈ [k+1, d]
 // (0-indexed [k, d)) it materializes the (k+1)-dimensional joint
 // Pr[Xᵢ, Πᵢ], perturbs it with Laplace(2(d−k)/(n·ε₂)) noise, clamps and
 // normalizes, and derives the conditional. The first k conditionals are
@@ -23,23 +23,15 @@ import (
 // the mutual-consistency post-processing of EnforceConsistency to the
 // noised joints before deriving conditionals (footnote 1 of the paper).
 //
-// The d−k joint materializations — each a full pass over the n rows —
-// fan out across up to `parallelism` workers, both across tables and
-// across row chunks within each table (marginal.MaterializeP); Laplace
-// noise is then injected serially in pair order from rng. The result
-// is bit-identical at every parallelism other than 1 for a fixed seed
-// (exact-count merging makes the joints worker-count independent);
-// parallelism 1 reproduces the pre-engine serial accumulation byte for
-// byte.
-//
-// NoisyConditionalsBinary materializes each joint from scratch; the Fit
-// pipeline instead routes through the cached variant so the chosen
-// pairs' joints come from the parent-configuration indexes the final
-// greedy iterations already built (see materializeJoint).
-func NoisyConditionalsBinary(ds *dataset.Dataset, net Network, k int, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand) ([]*marginal.Conditional, error) {
-	return noisyConditionalsBinary(context.Background(), ds, net, k, eps2, noNoise, consistent, parallelism, rng, nil, nil, nil)
-}
-
+// The d−k joint materializations — each a full pass over the n rows, or
+// a count-source request when cs is set — fan out across up to
+// `parallelism` workers, both across tables and across row chunks
+// within each table; Laplace noise is then injected serially in pair
+// order from rng. Exact-count merging makes the joints worker-count
+// independent, so the result is bit-identical at every parallelism for
+// a fixed seed. A non-nil cache supplies the parent-configuration
+// indexes the final greedy iterations already built (see
+// materializeJoint).
 func noisyConditionalsBinary(ctx context.Context, ds *dataset.Dataset, net Network, k int, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand, cache *marginal.IndexCache, cs marginal.CountSource, progress *progressSink) ([]*marginal.Conditional, error) {
 	d := len(net.Pairs)
 	conds := make([]*marginal.Conditional, d)
@@ -101,46 +93,33 @@ func noisyConditionalsBinary(ctx context.Context, ds *dataset.Dataset, net Netwo
 }
 
 // materializeJoint produces the empirical joint Pr[Π, X] of one AP pair.
-// With a parent-configuration index cache (the scorer's, inside Fit) the
-// parent scan the final greedy iterations already paid is reused and
-// only the child column is walked; without one it falls back to
-// marginal.MaterializeP. Both routes are bit-identical at every
-// parallelism: counts merge exactly, parallelism != 1 normalizes by one
-// 1/n scale exactly like MaterializeP, and parallelism 1 normalizes
-// through marginal.Ladder, which reproduces the serial Materialize
-// accumulation byte for byte.
+// In counts mode the integer counts come from cs; with a
+// parent-configuration index cache (the scorer's, inside Fit) the parent
+// scan the final greedy iterations already paid is reused and only the
+// child column is walked; otherwise it falls back to
+// marginal.MaterializeP. Every route merges exact integer counts and
+// normalizes by one 1/n scale, so all three are bit-identical at every
+// parallelism.
 func materializeJoint(ds *dataset.Dataset, pair APPair, parallelism int, cache *marginal.IndexCache, cs marginal.CountSource) (*marginal.Table, error) {
 	n := ds.N()
-	if cs != nil {
-		// Counts mode: the joint's integer counts come from the source;
-		// normalization mirrors the row-mode contract exactly —
-		// parallelism 1 through the Ladder (serial byte-identity), any
-		// other through one exact 1/n scale.
+	var t *marginal.Table
+	switch {
+	case cs != nil:
 		ts, err := cs.CountTables(pair.Parents, []marginal.Var{pair.X})
 		if err != nil {
 			return nil, err
 		}
-		t := ts[0]
-		if parallelism == 1 && cache != nil {
-			cache.Ladder(n).Apply(t)
-		} else {
-			t.Scale(1 / float64(n))
+		t = ts[0]
+	case cache == nil || n == 0:
+		return marginal.MaterializeP(ds, pair.Vars(), parallelism), nil
+	default:
+		if _, ok := marginal.ParentConfigs(ds, pair.Parents); !ok {
+			return marginal.MaterializeP(ds, pair.Vars(), parallelism), nil
 		}
-		return t, nil
+		ix := cache.Get(ds, pair.Parents, parallelism)
+		t = ix.CountChildren(ds, []marginal.Var{pair.X}, parallelism)[0]
 	}
-	if cache == nil || n == 0 {
-		return marginal.MaterializeP(ds, pair.Vars(), parallelism), nil
-	}
-	if _, ok := marginal.ParentConfigs(ds, pair.Parents); !ok {
-		return marginal.MaterializeP(ds, pair.Vars(), parallelism), nil
-	}
-	ix := cache.Get(ds, pair.Parents, parallelism)
-	t := ix.CountChildren(ds, []marginal.Var{pair.X}, parallelism)[0]
-	if parallelism == 1 {
-		cache.Ladder(n).Apply(t)
-	} else {
-		t.Scale(1 / float64(n))
-	}
+	t.Scale(1 / float64(n))
 	return t, nil
 }
 
@@ -178,22 +157,13 @@ func projectOnto(anchor *marginal.Table, pair APPair) (*marginal.Table, error) {
 	return anchor.MarginalizeOnto(want), nil
 }
 
-// NoisyConditionalsGeneral implements Algorithm 3: every one of the d
+// noisyConditionalsGeneral implements Algorithm 3: every one of the d
 // AP-pair joints is materialized and perturbed with Laplace(2d/(n·ε₂))
 // noise, then clamped, normalized and conditioned. Materialization fans
 // out across up to `parallelism` workers, across tables and across row
 // chunks within each table; the noise draws stay serial in pair order,
-// keeping the output bit-identical at every parallelism other than 1
-// (see NoisyConditionalsBinary for the contract).
-func NoisyConditionalsGeneral(ds *dataset.Dataset, net Network, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand) []*marginal.Conditional {
-	conds, err := noisyConditionalsGeneral(context.Background(), ds, net, eps2, noNoise, consistent, parallelism, rng, nil, nil, nil)
-	if err != nil {
-		// Unreachable: the background context never ends.
-		panic(err)
-	}
-	return conds
-}
-
+// keeping the output bit-identical at every parallelism (see
+// noisyConditionalsBinary for the contract).
 func noisyConditionalsGeneral(ctx context.Context, ds *dataset.Dataset, net Network, eps2 float64, noNoise, consistent bool, parallelism int, rng *rand.Rand, cache *marginal.IndexCache, cs marginal.CountSource, progress *progressSink) ([]*marginal.Conditional, error) {
 	d := len(net.Pairs)
 	conds := make([]*marginal.Conditional, d)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ func noisyJoints(t *testing.T, seed int64) ([]*marginal.Table, Network) {
 	ds := chainData(4000, seed)
 	sc := score.NewScorer(score.F, ds)
 	rng := rand.New(rand.NewSource(seed + 1))
-	net := GreedyBayesBinary(ds, 2, math.Inf(1), sc, 1, rng)
+	net := greedyBinary(t, ds, 2, math.Inf(1), sc, 1, rng)
 	var joints []*marginal.Table
 	for _, pair := range net.Pairs {
 		j := marginal.Materialize(ds, pair.Vars())
@@ -81,7 +82,7 @@ func TestConsistencyImprovesSharedMarginals(t *testing.T) {
 	for r := 0; r < reps; r++ {
 		for _, consistent := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(int64(100 + r)))
-			m, err := Fit(ds, Options{
+			m, err := Fit(context.Background(), ds, Options{
 				Epsilon: 0.05, Beta: 0.3, Theta: 4, K: 2,
 				Mode: ModeBinary, Score: score.F, Rand: rng,
 				Consistency: consistent,
@@ -89,7 +90,7 @@ func TestConsistencyImprovesSharedMarginals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			syn := m.Sample(20000, rng)
+			syn := m.SampleP(20000, rng, 0)
 			var e float64
 			for a := 0; a < ds.D(); a++ {
 				vars := []marginal.Var{{Attr: a}}

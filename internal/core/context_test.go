@@ -8,18 +8,17 @@ import (
 )
 
 // TestSampleContextMatchesSampleP: for an uncancelled context,
-// SampleContext is byte-identical to SampleP at every parallelism —
-// including 1, where both consume the caller's generator serially.
+// SampleContext is byte-identical to SampleP at every parallelism.
 func TestSampleContextMatchesSampleP(t *testing.T) {
 	ds := chainData(3000, 1)
-	m, err := Fit(ds, DefaultOptions(1, rand.New(rand.NewSource(2))))
+	m, err := Fit(context.Background(), ds, DefaultOptions(1, rand.New(rand.NewSource(2))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 2, 4} {
 		for _, n := range []int{0, 1, 2047, 2048, 5000} {
 			want := m.SampleP(n, rand.New(rand.NewSource(3)), par)
-			got, err := m.SampleContext(context.Background(), n, rand.New(rand.NewSource(3)), par)
+			got, err := m.SampleContext(context.Background(), n, rand.New(rand.NewSource(3)), par, nil)
 			if err != nil {
 				t.Fatalf("par=%d n=%d: %v", par, n, err)
 			}
@@ -38,14 +37,14 @@ func TestSampleContextMatchesSampleP(t *testing.T) {
 // context.Canceled and no partial dataset.
 func TestSampleContextCancelled(t *testing.T) {
 	ds := chainData(2000, 4)
-	m, err := Fit(ds, DefaultOptions(1, rand.New(rand.NewSource(5))))
+	m, err := Fit(context.Background(), ds, DefaultOptions(1, rand.New(rand.NewSource(5))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, par := range []int{1, 3} {
-		out, err := m.SampleContext(ctx, 100_000, rand.New(rand.NewSource(6)), par)
+		out, err := m.SampleContext(ctx, 100_000, rand.New(rand.NewSource(6)), par, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("par=%d: err = %v, want context.Canceled", par, err)
 		}
@@ -55,7 +54,7 @@ func TestSampleContextCancelled(t *testing.T) {
 	}
 }
 
-// TestFitContextCancelled: FitContext on a cancelled context returns
+// TestFitContextCancelled: Fit on a cancelled context returns
 // context.Canceled in both pipeline modes, never a partial model.
 func TestFitContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -67,7 +66,7 @@ func TestFitContextCancelled(t *testing.T) {
 		if mode == ModeBinary {
 			opt.Score, opt.K = 1, 2 // score.F
 		}
-		m, err := FitContext(ctx, ds, opt)
+		m, err := Fit(ctx, ds, opt)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("mode %d: err = %v, want context.Canceled", mode, err)
 		}
@@ -89,7 +88,7 @@ func TestFitContextProgressPhases(t *testing.T) {
 		}
 		last[e.Phase] = e
 	}
-	if _, err := FitContext(context.Background(), ds, opt); err != nil {
+	if _, err := Fit(context.Background(), ds, opt); err != nil {
 		t.Fatal(err)
 	}
 	for _, ph := range []Phase{PhaseNetwork, PhaseMarginals} {

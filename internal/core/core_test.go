@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -90,12 +91,33 @@ func TestChooseK(t *testing.T) {
 	}
 }
 
+// greedyBinary runs GreedyBayesBinary without cancellation or
+// progress, failing the test on error.
+func greedyBinary(t *testing.T, ds *dataset.Dataset, k int, eps1 float64, sc *score.Scorer, parallelism int, rng *rand.Rand) Network {
+	t.Helper()
+	net, err := GreedyBayesBinary(context.Background(), ds, k, eps1, sc, parallelism, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// greedyGeneral is greedyBinary for GreedyBayesGeneral.
+func greedyGeneral(t *testing.T, ds *dataset.Dataset, theta, eps1, eps2 float64, useHierarchy bool, sc *score.Scorer, parallelism int, rng *rand.Rand) Network {
+	t.Helper()
+	net, err := GreedyBayesGeneral(context.Background(), ds, theta, eps1, eps2, useHierarchy, sc, parallelism, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
 func TestGreedyBayesBinaryStructure(t *testing.T) {
 	ds := chainData(3000, 1)
 	sc := score.NewScorer(score.F, ds)
 	rng := rand.New(rand.NewSource(2))
 	for _, k := range []int{1, 2, 3} {
-		net := GreedyBayesBinary(ds, k, math.Inf(1), sc, 1, rng)
+		net := greedyBinary(t, ds, k, math.Inf(1), sc, 1, rng)
 		if err := net.Validate(ds.D()); err != nil {
 			t.Fatalf("k=%d: invalid network: %v", k, err)
 		}
@@ -120,7 +142,7 @@ func TestGreedyBayesBinaryStructure(t *testing.T) {
 func TestGreedyBayesBinaryFindsChain(t *testing.T) {
 	ds := chainData(8000, 3)
 	sc := score.NewScorer(score.MI, ds)
-	net := GreedyBayesBinary(ds, 1, math.Inf(1), sc, 1, rand.New(rand.NewSource(4)))
+	net := greedyBinary(t, ds, 1, math.Inf(1), sc, 1, rand.New(rand.NewSource(4)))
 	// The non-private greedy Chow-Liu tree must recover the strong
 	// chain edges: each of a1..a3 should have its chain neighbor as the
 	// parent (whichever side was added first).
@@ -134,7 +156,7 @@ func TestGreedyBayesGeneralRespectsCap(t *testing.T) {
 	ds := mixedData(5000, 5)
 	sc := score.NewScorer(score.R, ds)
 	eps2 := 0.07
-	net := GreedyBayesGeneral(ds, 4, math.Inf(1), eps2, true, sc, 1, rand.New(rand.NewSource(6)))
+	net := greedyGeneral(t, ds, 4, math.Inf(1), eps2, true, sc, 1, rand.New(rand.NewSource(6)))
 	if err := net.Validate(ds.D()); err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +212,10 @@ func TestNoisyConditionalsBinaryDerivation(t *testing.T) {
 	sc := score.NewScorer(score.F, ds)
 	rng := rand.New(rand.NewSource(8))
 	k := 2
-	net := GreedyBayesBinary(ds, k, math.Inf(1), sc, 1, rng)
+	net := greedyBinary(t, ds, k, math.Inf(1), sc, 1, rng)
 	// Without noise, derived head conditionals must equal direct
 	// materialization.
-	conds, err := NoisyConditionalsBinary(ds, net, k, 1.0, true, false, 1, rng)
+	conds, err := noisyConditionalsBinary(context.Background(), ds, net, k, 1.0, true, false, 1, rng, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +238,11 @@ func TestNoisyConditionalsGeneralShapes(t *testing.T) {
 	ds := mixedData(3000, 9)
 	sc := score.NewScorer(score.R, ds)
 	rng := rand.New(rand.NewSource(10))
-	net := GreedyBayesGeneral(ds, 4, math.Inf(1), 0.5, true, sc, 1, rng)
-	conds := NoisyConditionalsGeneral(ds, net, 0.5, false, false, 1, rng)
+	net := greedyGeneral(t, ds, 4, math.Inf(1), 0.5, true, sc, 1, rng)
+	conds, err := noisyConditionalsGeneral(context.Background(), ds, net, 0.5, false, false, 1, rng, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range conds {
 		if c.X != net.Pairs[i].X {
 			t.Fatalf("conditional %d child mismatch", i)
@@ -238,14 +263,14 @@ func TestNoisyConditionalsGeneralShapes(t *testing.T) {
 func TestSampleMatchesModelDistribution(t *testing.T) {
 	ds := chainData(8000, 11)
 	rng := rand.New(rand.NewSource(12))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 100, Beta: 0.3, Theta: 4, K: 2,
 		Mode: ModeBinary, Score: score.F, Rand: rng,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn := m.Sample(40000, rng)
+	syn := m.SampleP(40000, rng, 0)
 	// With a huge budget the synthetic pairwise marginal of the chain
 	// edge (a0, a1) must be close to the real one.
 	vars := []marginal.Var{{Attr: 0}, {Attr: 1}}
@@ -259,14 +284,14 @@ func TestSampleMatchesModelDistribution(t *testing.T) {
 func TestSampleWithGeneralizedParents(t *testing.T) {
 	ds := mixedData(5000, 13)
 	rng := rand.New(rand.NewSource(14))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 0.1, Beta: 0.3, Theta: 4,
 		Mode: ModeGeneral, Score: score.R, UseHierarchy: true, Rand: rng,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn := m.Sample(1000, rng)
+	syn := m.SampleP(1000, rng, 0)
 	if syn.N() != 1000 || syn.D() != ds.D() {
 		t.Fatalf("synthetic shape %dx%d", syn.N(), syn.D())
 	}

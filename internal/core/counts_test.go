@@ -36,8 +36,9 @@ func countsFitJSON(t *testing.T, ds *dataset.Dataset, opt Options, chunkRows, pa
 // TestFitCountsBitIdenticalToInMemory is the out-of-core contract: a fit
 // whose every data access goes through chunked count tables produces
 // the byte-identical model an in-memory fit produces from the same rows
-// — for both algorithm families, at every parallelism including the
-// legacy serial path, and regardless of chunk geometry.
+// — for both algorithm families, regardless of chunk geometry. Both
+// routes are also bit-identical across parallelism (1 included): every
+// fit must match the in-memory fit at parallelism 2.
 func TestFitCountsBitIdenticalToInMemory(t *testing.T) {
 	cases := []struct {
 		name string
@@ -49,20 +50,28 @@ func TestFitCountsBitIdenticalToInMemory(t *testing.T) {
 		{"general", mixedData(3000, 8), Options{Epsilon: 0.8, Beta: 0.3, Theta: 4,
 			Mode: ModeGeneral, Score: score.R, UseHierarchy: true}},
 	}
+	fit := func(ds *dataset.Dataset, opt Options) []byte {
+		m, err := Fit(context.Background(), ds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf, opt.Epsilon); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	for _, tc := range cases {
-		for _, par := range []int{1, 2, 4} {
-			opt := tc.opt
+		opt := tc.opt
+		opt.Parallelism = 2
+		opt.Rand = rand.New(rand.NewSource(11))
+		want := fit(tc.ds, opt)
+		for _, par := range []int{0, 1, 2, 4} {
 			opt.Parallelism = par
 			opt.Rand = rand.New(rand.NewSource(11))
-			m, err := Fit(tc.ds, opt)
-			if err != nil {
-				t.Fatal(err)
+			if got := fit(tc.ds, opt); !bytes.Equal(got, want) {
+				t.Errorf("%s: in-memory fit at parallelism %d differs from parallelism 2", tc.name, par)
 			}
-			var buf bytes.Buffer
-			if err := m.WriteJSON(&buf, opt.Epsilon); err != nil {
-				t.Fatal(err)
-			}
-			want := buf.Bytes()
 			for _, chunk := range []int{100, 999, 1 << 16} {
 				opt.Rand = rand.New(rand.NewSource(11))
 				got := countsFitJSON(t, tc.ds, opt, chunk, par)
@@ -102,12 +111,12 @@ func TestFitCountsScanBudget(t *testing.T) {
 // TestRefitCountsMatchesConditionals: an incremental refit over a
 // maintained count store reproduces — byte for byte — the noisy
 // conditionals a full-data materialization draws with the same seed and
-// network, at both the serial and parallel settings.
+// network, and the refit is bit-identical at every parallelism.
 func TestRefitCountsMatchesConditionals(t *testing.T) {
 	ds := chainData(3000, 7)
 	opt := Options{Epsilon: 0.8, Beta: 0.3, Theta: 4, K: 2, Mode: ModeBinary,
 		Score: score.F, Parallelism: 2, Rand: rand.New(rand.NewSource(21))}
-	m, err := Fit(ds, opt)
+	m, err := Fit(context.Background(), ds, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,28 +139,29 @@ func TestRefitCountsMatchesConditionals(t *testing.T) {
 		}
 	}
 
-	for _, par := range []int{1, 2} {
+	wantConds, err := noisyConditionalsBinary(context.Background(), ds, m.Network, m.K, 0.56, false, false, 2,
+		rand.New(rand.NewSource(33)), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBuf bytes.Buffer
+	want := &Model{Attrs: m.Attrs, Score: m.Score, K: m.K, Network: m.Network, Conds: wantConds}
+	if err := want.WriteJSON(&wantBuf, 0.56); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{0, 1, 2, 4} {
 		refitOpt := Options{Epsilon: 0.56, Mode: ModeBinary, Score: score.F,
 			Parallelism: par, Rand: rand.New(rand.NewSource(33))}
 		got, err := RefitCountsContext(context.Background(), ds.Attrs(), st.Source(), m.Network, m.K, refitOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(33))
-		wantConds, err := NoisyConditionalsBinary(ds, m.Network, m.K, 0.56, false, false, par, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gotBuf, wantBuf bytes.Buffer
+		var gotBuf bytes.Buffer
 		if err := got.WriteJSON(&gotBuf, 0.56); err != nil {
 			t.Fatal(err)
 		}
-		want := &Model{Attrs: m.Attrs, Score: m.Score, K: m.K, Network: m.Network, Conds: wantConds}
-		if err := want.WriteJSON(&wantBuf, 0.56); err != nil {
-			t.Fatal(err)
-		}
 		if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
-			t.Errorf("parallelism %d: incremental refit differs from full-data conditionals", par)
+			t.Errorf("parallelism %d: incremental refit differs from full-data conditionals at parallelism 2", par)
 		}
 	}
 }
@@ -162,7 +172,7 @@ func TestRefitCountsGeneralMode(t *testing.T) {
 	ds := mixedData(2000, 5)
 	opt := Options{Epsilon: 1, Beta: 0.3, Theta: 4, Mode: ModeGeneral,
 		Score: score.R, UseHierarchy: true, Parallelism: 2, Rand: rand.New(rand.NewSource(9))}
-	m, err := Fit(ds, opt)
+	m, err := Fit(context.Background(), ds, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -15,17 +16,17 @@ func TestFitDegenerateShapes(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		one.Append([]uint16{uint16(rng.Intn(2))})
 	}
-	m, err := Fit(one, Options{Epsilon: 1, Beta: 0.3, Theta: 4, K: -1, Mode: ModeBinary, Score: score.F, Rand: rng})
+	m, err := Fit(context.Background(), one, Options{Epsilon: 1, Beta: 0.3, Theta: 4, K: -1, Mode: ModeBinary, Score: score.F, Rand: rng})
 	if err != nil {
 		t.Fatalf("d=1: %v", err)
 	}
-	if syn := m.Sample(10, rng); syn.N() != 10 {
+	if syn := m.SampleP(10, rng, 0); syn.N() != 10 {
 		t.Fatal("d=1 sampling failed")
 	}
 
 	two := chainData(200, 2)
 	sub := two.Subset([]int{0, 1, 2, 3, 4})
-	m2, err := Fit(sub, Options{Epsilon: 1, Beta: 0.3, Theta: 4, K: 5, Mode: ModeBinary, Score: score.F, Rand: rng})
+	m2, err := Fit(context.Background(), sub, Options{Epsilon: 1, Beta: 0.3, Theta: 4, K: 5, Mode: ModeBinary, Score: score.F, Rand: rng})
 	if err != nil {
 		t.Fatalf("k > d-1 should clamp: %v", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ func fuzzModelArtifact(tb testing.TB) []byte {
 	}
 	opt := DefaultOptions(1.0, rng)
 	opt.Score = score.R
-	m, err := Fit(ds, opt)
+	m, err := Fit(context.Background(), ds, opt)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func FuzzReadModelJSON(f *testing.F) {
 		// Sampling must not panic on any accepted model; keep it cheap
 		// by skipping pathologically wide ones.
 		if len(m.Attrs) <= 64 {
-			m.Sample(16, rand.New(rand.NewSource(1)))
+			m.SampleP(16, rand.New(rand.NewSource(1)), 0)
 		}
 	})
 }

@@ -40,21 +40,12 @@ import (
 // index by a cumulative scan, so reordering candidates would change the
 // selected pair for a fixed seed. The engine regroups by canonical
 // parent-set key internally without disturbing result order.
-func GreedyBayesBinary(ds *dataset.Dataset, k int, eps1 float64, sc *score.Scorer, parallelism int, rng *rand.Rand) Network {
-	net, err := GreedyBayesBinaryContext(context.Background(), ds, k, eps1, sc, parallelism, rng, nil)
-	if err != nil {
-		// Unreachable: the background context never ends.
-		panic(err)
-	}
-	return net
-}
-
-// GreedyBayesBinaryContext is GreedyBayesBinary with cancellation and
-// progress: ctx is checked every greedy iteration and inside candidate
-// scoring, so a cancelled fit stops within one scoring batch and
-// returns ctx.Err(); progress (optional) receives one PhaseNetwork
-// event per selected AP pair.
-func GreedyBayesBinaryContext(ctx context.Context, ds *dataset.Dataset, k int, eps1 float64, sc *score.Scorer, parallelism int, rng *rand.Rand, progress *progressSink) (Network, error) {
+//
+// ctx is checked every greedy iteration and inside candidate scoring,
+// so a cancelled fit stops within one scoring batch and returns
+// ctx.Err(); progress (optional) receives one PhaseNetwork event per
+// selected AP pair.
+func GreedyBayesBinary(ctx context.Context, ds *dataset.Dataset, k int, eps1 float64, sc *score.Scorer, parallelism int, rng *rand.Rand, progress *progressSink) (Network, error) {
 	d := ds.D()
 	if d == 0 {
 		return Network{}, nil
@@ -143,18 +134,9 @@ func combinations(v []int, size int) [][]marginal.Var {
 // reduction, so the candidate list — and therefore the learned network,
 // whose one exponential-mechanism draw per iteration stays on rng — is
 // bit-identical at every parallelism for a fixed seed.
-func GreedyBayesGeneral(ds *dataset.Dataset, theta, eps1, eps2 float64, useHierarchy bool, sc *score.Scorer, parallelism int, rng *rand.Rand) Network {
-	net, err := GreedyBayesGeneralContext(context.Background(), ds, theta, eps1, eps2, useHierarchy, sc, parallelism, rng, nil)
-	if err != nil {
-		// Unreachable: the background context never ends.
-		panic(err)
-	}
-	return net
-}
-
-// GreedyBayesGeneralContext is GreedyBayesGeneral with cancellation and
-// progress, on the same contract as GreedyBayesBinaryContext.
-func GreedyBayesGeneralContext(ctx context.Context, ds *dataset.Dataset, theta, eps1, eps2 float64, useHierarchy bool, sc *score.Scorer, parallelism int, rng *rand.Rand, progress *progressSink) (Network, error) {
+//
+// Cancellation and progress follow the GreedyBayesBinary contract.
+func GreedyBayesGeneral(ctx context.Context, ds *dataset.Dataset, theta, eps1, eps2 float64, useHierarchy bool, sc *score.Scorer, parallelism int, rng *rand.Rand, progress *progressSink) (Network, error) {
 	d := ds.D()
 	if d == 0 {
 		return Network{}, nil

@@ -2,100 +2,51 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"privbayes/internal/dataset"
 	"privbayes/internal/infer"
-	"privbayes/internal/marginal"
 	"privbayes/internal/parallel"
 )
 
-// Sample draws n synthetic tuples by ancestral sampling (Section 3,
-// "Generation of synthetic data"): attributes are sampled in network
-// order, so every parent is available — suitably generalized — before
-// its children. The serial path; SampleP fans the same loop out over
-// row chunks.
-func (m *Model) Sample(n int, rng *rand.Rand) *dataset.Dataset {
-	out := dataset.NewWithLen(m.Attrs, n)
-	m.sampleRange(out, 0, n, rng)
-	return out
-}
-
-// sampleChunk is the row granularity of parallel sampling. The chunk
-// geometry depends only on n, so the chunk index — and with it the
-// chunk's RNG stream — is independent of the worker count.
+// sampleChunk is the row granularity of sampling. The chunk geometry
+// depends only on n, so the chunk index — and with it the chunk's RNG
+// stream — is independent of the worker count.
 const sampleChunk = 2048
 
-// SampleP draws n synthetic tuples with chunked row-range fan-out
+// SampleP draws n synthetic tuples by ancestral sampling (Section 3,
+// "Generation of synthetic data"): attributes are sampled in network
+// order, so every parent is available — suitably generalized — before
+// its children. Rows are generated in fixed-size chunks fanned out
 // across up to `parallelism` workers (<= 0 selects GOMAXPROCS; see
-// parallel.Workers). Each fixed-size row chunk samples from its own
-// rand.Rand seeded by sequential draws from rng (the split-RNG scheme).
-// Chunk geometry and seeds depend only on (n, seed) — never on the
-// worker count — so for a fixed seed the output is bit-identical at
-// every parallelism other than 1, on any machine: the default 0 gives
-// the same tuples on one core as on sixty-four. Parallelism 1 — and
-// only 1 — takes the serial Sample path, which consumes rng directly
-// and reproduces the pre-parallel engine byte for byte; its tuple
-// stream therefore differs from (but is distributed identically to)
-// the chunked one.
+// parallel.Workers); each chunk samples from its own rand.Rand seeded
+// by sequential draws from rng (the split-RNG scheme). Chunk geometry
+// and seeds depend only on (n, seed) — never on the worker count — so
+// for a fixed seed the output is bit-identical at every parallelism,
+// on any machine. SampleP is SampleContext without cancellation or
+// progress.
 func (m *Model) SampleP(n int, rng *rand.Rand, parallelism int) *dataset.Dataset {
-	if parallelism == 1 {
-		return m.Sample(n, rng)
-	}
-	workers := parallel.Workers(parallelism)
-	chunks := parallel.Chunks(n, sampleChunk)
-	seeds := parallel.SplitSeeds(rng, chunks)
-	out := dataset.NewWithLen(m.Attrs, n)
-	parallel.For(workers, chunks, func(c int) {
-		lo := c * sampleChunk
-		hi := min(lo+sampleChunk, n)
-		m.sampleRange(out, lo, hi, rand.New(rand.NewSource(seeds[c])))
-	})
+	out, _ := m.SampleContext(context.Background(), n, rng, parallelism, nil)
 	return out
 }
 
-// SampleContext is SampleP with cancellation: ctx is checked at every
-// sample-chunk boundary (2048 rows), so a cancelled call stops within
-// one chunk, drains its workers, and returns ctx.Err(). For an
-// uncancelled context the output is byte-identical to SampleP at the
-// same (n, rng state, parallelism) — including the parallelism 1
-// legacy-serial stream, which here runs chunk by chunk on the caller's
-// generator exactly as Sample consumes it.
-func (m *Model) SampleContext(ctx context.Context, n int, rng *rand.Rand, parallelism int) (*dataset.Dataset, error) {
-	return m.sampleContext(ctx, n, rng, parallelism, nil)
-}
-
-// SampleContextProgress is SampleContext with a progress callback:
-// progress (optional) receives PhaseSampling events with Done/Total in
-// rows, delivered serially.
-func (m *Model) SampleContextProgress(ctx context.Context, n int, rng *rand.Rand, parallelism int, progress func(ProgressEvent)) (*dataset.Dataset, error) {
-	return m.sampleContext(ctx, n, rng, parallelism, newProgressSink(progress))
-}
-
-func (m *Model) sampleContext(ctx context.Context, n int, rng *rand.Rand, parallelism int, progress *progressSink) (*dataset.Dataset, error) {
-	progress.start(PhaseSampling, n)
-	if parallelism == 1 {
-		out := dataset.NewWithLen(m.Attrs, n)
-		for lo := 0; lo < n; lo += sampleChunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			hi := min(lo+sampleChunk, n)
-			m.sampleRange(out, lo, hi, rng)
-			progress.add(PhaseSampling, hi-lo, n)
-		}
-		return out, nil
-	}
-	workers := parallel.Workers(parallelism)
+// SampleContext is SampleP with cancellation and progress: ctx is
+// checked at every sample-chunk boundary (2048 rows), so a cancelled
+// call stops within one chunk, drains its workers, and returns
+// ctx.Err(); progress (optional) receives PhaseSampling events with
+// Done/Total in rows, delivered serially. For an uncancelled context
+// the output is byte-identical to SampleP at the same (n, rng state).
+func (m *Model) SampleContext(ctx context.Context, n int, rng *rand.Rand, parallelism int, progress func(ProgressEvent)) (*dataset.Dataset, error) {
+	sink := newProgressSink(progress)
+	sink.start(PhaseSampling, n)
 	chunks := parallel.Chunks(n, sampleChunk)
 	seeds := parallel.SplitSeeds(rng, chunks)
 	out := dataset.NewWithLen(m.Attrs, n)
-	if err := parallel.ForCtx(ctx, workers, chunks, func(c int) {
+	if err := parallel.ForCtx(ctx, parallel.Workers(parallelism), chunks, func(c int) {
 		lo := c * sampleChunk
 		hi := min(lo+sampleChunk, n)
 		m.sampleRange(out, lo, hi, rand.New(rand.NewSource(seeds[c])))
-		progress.add(PhaseSampling, hi-lo, n)
+		sink.add(PhaseSampling, hi-lo, n)
 	}); err != nil {
 		return nil, err
 	}
@@ -129,41 +80,6 @@ func (m *Model) sampleRange(out *dataset.Dataset, lo, hi int, rng *rand.Rand) {
 		}
 		out.SetRecord(r, rec)
 	}
-}
-
-// InferMarginal answers a marginal query directly from the fitted model
-// instead of via random sampling — the direction Section 7 of the paper
-// flags as future work ("whether certain questions could be answered
-// directly from the materialized model and its parameters, rather than
-// via random sampling"). It performs exact forward inference over the
-// Bayesian network through the variable-elimination engine of
-// internal/infer; the answer carries no sampling error, so model-direct
-// answers are strictly more accurate for low-dimensional queries (see
-// BenchmarkAblationInferenceVsSampling).
-//
-// Deprecated: InferMarginal is the positional-maxCells v1 form, kept as
-// a byte-identical shim over the query engine. Use the v2 query API —
-//
-//	m.Query(ctx, core.Marginal(names...), core.QueryMaxCells(n))
-//
-// — which takes a context, names attributes instead of indexing them,
-// replaces the positional maxCells with the QueryMaxCells option, and
-// additionally answers conditional, probability and count queries with
-// predicates and taxonomy-level rollup. For a fixed query class
-// (marginal over raw-level attributes) the two return bit-identical
-// tables.
-func (m *Model) InferMarginal(attrs []int, maxCells int) (*marginal.Table, error) {
-	targets := make([]infer.Target, len(attrs))
-	for i, a := range attrs {
-		if a < 0 || a >= len(m.Attrs) {
-			return nil, fmt.Errorf("core: attribute %d out of range", a)
-		}
-		targets[i] = infer.Target{Attr: a}
-	}
-	// Parallelism 1 keeps the shim allocation-lean on the tiny factors
-	// typical of marginal queries; any setting returns the same bits.
-	return m.engine().Joint(context.Background(), targets, nil,
-		infer.Options{MaxCells: maxCells, Parallelism: 1})
 }
 
 // engine wraps the model's CPTs as an inference engine. Construction is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ func noiselessModel(t *testing.T, seed int64) (*Model, *rand.Rand) {
 	t.Helper()
 	ds := chainData(6000, seed)
 	rng := rand.New(rand.NewSource(seed + 1))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 1, Beta: 0.3, Theta: 4, K: 2,
 		Mode: ModeBinary, Score: score.F, Rand: rng,
 		InfiniteNetworkBudget: true, InfiniteMarginalBudget: true,
@@ -24,12 +25,26 @@ func noiselessModel(t *testing.T, seed int64) (*Model, *rand.Rand) {
 	return m, rng
 }
 
-// With a noise-free model, InferMarginal of an AP pair's own variables
+// queryMarginal answers the raw-level marginal over the attribute
+// indices attrs through Model.Query.
+func queryMarginal(m *Model, attrs []int, opts ...QueryOption) (*marginal.Table, error) {
+	names := make([]string, len(attrs))
+	for i, a := range attrs {
+		names[i] = m.Attrs[a].Name
+	}
+	res, err := m.Query(context.Background(), Marginal(names...), opts...)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table(), nil
+}
+
+// With a noise-free model, the marginal of an AP pair's own variables
 // must reproduce the empirical joint exactly.
 func TestInferMarginalExactOnModelPairs(t *testing.T) {
 	ds := chainData(6000, 21)
 	rng := rand.New(rand.NewSource(22))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 1, Beta: 0.3, Theta: 4, K: 2,
 		Mode: ModeBinary, Score: score.F, Rand: rng,
 		InfiniteNetworkBudget: true, InfiniteMarginalBudget: true,
@@ -42,7 +57,7 @@ func TestInferMarginalExactOnModelPairs(t *testing.T) {
 		for _, p := range pair.Parents {
 			attrs = append(attrs, p.Attr)
 		}
-		got, err := m.InferMarginal(attrs, 0)
+		got, err := queryMarginal(m, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,9 +76,9 @@ func TestInferMarginalExactOnModelPairs(t *testing.T) {
 // without the sampling error — the motivation in Section 7.
 func TestInferMarginalMatchesSampling(t *testing.T) {
 	m, rng := noiselessModel(t, 23)
-	syn := m.Sample(60000, rng)
+	syn := m.SampleP(60000, rng, 0)
 	attrs := []int{0, 2}
-	inferred, err := m.InferMarginal(attrs, 0)
+	inferred, err := queryMarginal(m, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +92,7 @@ func TestInferMarginalMatchesSampling(t *testing.T) {
 func TestInferMarginalSumsToOne(t *testing.T) {
 	m, _ := noiselessModel(t, 24)
 	for _, attrs := range [][]int{{0}, {1, 3}, {5, 0, 2}} {
-		got, err := m.InferMarginal(attrs, 0)
+		got, err := queryMarginal(m, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +108,11 @@ func TestInferMarginalSumsToOne(t *testing.T) {
 
 func TestInferMarginalRespectsOrder(t *testing.T) {
 	m, _ := noiselessModel(t, 25)
-	ab, err := m.InferMarginal([]int{0, 1}, 0)
+	ab, err := queryMarginal(m, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, err := m.InferMarginal([]int{1, 0}, 0)
+	ba, err := queryMarginal(m, []int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +124,15 @@ func TestInferMarginalRespectsOrder(t *testing.T) {
 
 func TestInferMarginalCellCap(t *testing.T) {
 	m, _ := noiselessModel(t, 26)
-	if _, err := m.InferMarginal([]int{0, 1, 2, 3, 4, 5}, 4); err == nil {
+	if _, err := queryMarginal(m, []int{0, 1, 2, 3, 4, 5}, QueryMaxCells(4)); err == nil {
 		t.Error("tiny cell cap should force an error")
 	}
 }
 
 func TestInferMarginalBadAttr(t *testing.T) {
 	m, _ := noiselessModel(t, 27)
-	if _, err := m.InferMarginal([]int{99}, 0); err == nil {
-		t.Error("out-of-range attribute should error")
+	if _, err := m.Query(context.Background(), Marginal("a", "nope")); err == nil {
+		t.Error("unknown attribute should error")
 	}
 }
 
@@ -126,7 +141,7 @@ func TestInferMarginalBadAttr(t *testing.T) {
 func TestInferMarginalGeneralizedParents(t *testing.T) {
 	ds := mixedData(6000, 28)
 	rng := rand.New(rand.NewSource(29))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 0.05, Beta: 0.3, Theta: 4,
 		Mode: ModeGeneral, Score: score.R, UseHierarchy: true, Rand: rng,
 		InfiniteMarginalBudget: true,
@@ -134,8 +149,8 @@ func TestInferMarginalGeneralizedParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn := m.Sample(80000, rng)
-	inferred, err := m.InferMarginal([]int{0, 1}, 0)
+	syn := m.SampleP(80000, rng, 0)
+	inferred, err := queryMarginal(m, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,13 +80,11 @@ type Options struct {
 	Consistency bool
 	// Parallelism bounds the worker pool used by candidate scoring,
 	// marginal counting and synthetic sampling. <= 0 (the default)
-	// selects GOMAXPROCS; 1 forces the serial code paths, reproducing
-	// the pre-parallel engine byte for byte. For a fixed seed, Fit and
-	// Synthesize output is bit-identical at every parallelism other
-	// than 1, on any machine — work units and RNG streams are indexed
-	// by data position, never by worker (see Model.SampleP and
-	// marginal.MaterializeP). The learned network structure is
-	// additionally identical between the serial and parallel paths.
+	// selects GOMAXPROCS. It never changes output: for a fixed seed,
+	// Fit and Synthesize are bit-identical at every parallelism, on any
+	// machine — work units and RNG streams are indexed by data
+	// position, never by worker (see Model.SampleP and
+	// marginal.MaterializeP).
 	Parallelism int
 	// Progress, when set, receives one ProgressEvent per completed
 	// pipeline unit (greedy iteration, materialized marginal). Events
@@ -132,22 +130,19 @@ func (o *Options) validate(ds *dataset.Dataset) error {
 // and private distribution learning — and returns a model from which any
 // number of synthetic tuples can be sampled without further privacy
 // cost.
-func Fit(ds *dataset.Dataset, opt Options) (*Model, error) {
-	return FitContext(context.Background(), ds, opt)
-}
-
-// FitContext is Fit with cancellation: ctx is threaded through network
-// learning (checked every greedy iteration and between candidate
-// parent-set groups), marginal materialization (between AP-pair
-// joints) and the worker pools underneath, so a cancelled fit stops
-// promptly — within one scoring batch or one joint — releases its
-// workers, and returns ctx.Err(). Cancellation never produces a
-// partial model: the result is either complete or nil.
-func FitContext(ctx context.Context, ds *dataset.Dataset, opt Options) (*Model, error) {
+//
+// ctx is threaded through network learning (checked every greedy
+// iteration and between candidate parent-set groups), marginal
+// materialization (between AP-pair joints) and the worker pools
+// underneath, so a cancelled fit stops promptly — within one scoring
+// batch or one joint — releases its workers, and returns ctx.Err().
+// Cancellation never produces a partial model: the result is either
+// complete or nil.
+func Fit(ctx context.Context, ds *dataset.Dataset, opt Options) (*Model, error) {
 	return fitModel(ctx, ds, nil, opt)
 }
 
-// FitCountsContext runs the same two-phase pipeline as FitContext with
+// FitCountsContext runs the same two-phase pipeline as Fit with
 // every data access routed through a count source: structure search,
 // sensitivities and table shapes need only the schema and row count
 // (carried by a virtual dataset), and every joint the scorer or the
@@ -155,7 +150,7 @@ func FitContext(ctx context.Context, ds *dataset.Dataset, opt Options) (*Model, 
 // integer count table. Because integer counts are chunking-invariant
 // and the remaining float arithmetic is the very same code the
 // in-memory path runs, the returned model is byte-identical to
-// FitContext over the materialized rows, for any seed and parallelism.
+// Fit over the materialized rows, for any seed and parallelism.
 func FitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs marginal.CountSource, opt Options) (*Model, error) {
 	return fitModel(ctx, dataset.NewVirtual(attrs, cs.Rows()), cs, opt)
 }
@@ -217,7 +212,7 @@ func fitModel(ctx context.Context, ds *dataset.Dataset, cs marginal.CountSource,
 		// choice trivial only when d = 1), the paper resets β when no
 		// choice exists; we keep the split, which matches footnote 6's
 		// observation without changing behaviour materially.
-		net, err := GreedyBayesBinaryContext(ctx, ds, k, eps1, sc, opt.Parallelism, opt.Rand, progress)
+		net, err := GreedyBayesBinary(ctx, ds, k, eps1, sc, opt.Parallelism, opt.Rand, progress)
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +225,7 @@ func fitModel(ctx context.Context, ds *dataset.Dataset, cs marginal.CountSource,
 		}
 		m.Conds = conds
 	case ModeGeneral:
-		net, err := GreedyBayesGeneralContext(ctx, ds, opt.Theta, eps1, eps2, opt.UseHierarchy, sc, opt.Parallelism, opt.Rand, progress)
+		net, err := GreedyBayesGeneral(ctx, ds, opt.Theta, eps1, eps2, opt.UseHierarchy, sc, opt.Parallelism, opt.Rand, progress)
 		if err != nil {
 			return nil, err
 		}
@@ -273,10 +268,6 @@ func RefitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs margi
 		return nil, err
 	}
 	progress := newProgressSink(opt.Progress)
-	// The index cache is empty in counts mode; it only carries the
-	// shared Ladder that keeps Parallelism=1 refits byte-identical to
-	// the serial in-memory path.
-	cache := marginal.NewIndexCache(0)
 	m := &Model{Attrs: append([]dataset.Attribute(nil), attrs...), Score: opt.Score, K: -1, Network: net}
 	switch opt.Mode {
 	case ModeBinary:
@@ -284,13 +275,13 @@ func RefitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs margi
 			return nil, fmt.Errorf("core: refit anchor degree %d outside [0, %d]", k, ds.D()-1)
 		}
 		m.K = k
-		conds, err := noisyConditionalsBinary(ctx, ds, net, k, opt.Epsilon, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, cache, cs, progress)
+		conds, err := noisyConditionalsBinary(ctx, ds, net, k, opt.Epsilon, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, nil, cs, progress)
 		if err != nil {
 			return nil, err
 		}
 		m.Conds = conds
 	case ModeGeneral:
-		conds, err := noisyConditionalsGeneral(ctx, ds, net, opt.Epsilon, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, cache, cs, progress)
+		conds, err := noisyConditionalsGeneral(ctx, ds, net, opt.Epsilon, opt.InfiniteMarginalBudget, opt.Consistency, opt.Parallelism, opt.Rand, nil, cs, progress)
 		if err != nil {
 			return nil, err
 		}
@@ -302,18 +293,13 @@ func RefitCountsContext(ctx context.Context, attrs []dataset.Attribute, cs margi
 }
 
 // Synthesize runs the full three-phase pipeline and returns a synthetic
-// dataset of the same cardinality as the input (Section 3). Sampling
-// honours opt.Parallelism (see Model.SampleP).
-func Synthesize(ds *dataset.Dataset, opt Options) (*dataset.Dataset, error) {
-	return SynthesizeContext(context.Background(), ds, opt)
-}
-
-// SynthesizeContext is Synthesize with cancellation (see FitContext and
-// Model.SampleContext) and sampling progress.
-func SynthesizeContext(ctx context.Context, ds *dataset.Dataset, opt Options) (*dataset.Dataset, error) {
-	m, err := FitContext(ctx, ds, opt)
+// dataset of the same cardinality as the input (Section 3). ctx cancels
+// fitting and sampling (see Fit and Model.SampleContext); sampling
+// honours opt.Parallelism and reports to opt.Progress.
+func Synthesize(ctx context.Context, ds *dataset.Dataset, opt Options) (*dataset.Dataset, error) {
+	m, err := Fit(ctx, ds, opt)
 	if err != nil {
 		return nil, err
 	}
-	return m.sampleContext(ctx, ds.N(), opt.Rand, opt.Parallelism, newProgressSink(opt.Progress))
+	return m.SampleContext(ctx, ds.N(), opt.Rand, opt.Parallelism, opt.Progress)
 }

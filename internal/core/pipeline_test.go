@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestFitValidation(t *testing.T) {
 		{"F on general domains", Options{Epsilon: 1, Beta: 0.3, Theta: 4, Mode: ModeGeneral, Score: score.F, Rand: rng}},
 	}
 	for _, c := range cases {
-		if _, err := Fit(ds, c.opt); err == nil {
+		if _, err := Fit(context.Background(), ds, c.opt); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
@@ -31,7 +32,7 @@ func TestFitValidation(t *testing.T) {
 
 func TestFitRejectsBinaryModeOnGeneralDomains(t *testing.T) {
 	ds := mixedData(100, 2)
-	_, err := Fit(ds, Options{
+	_, err := Fit(context.Background(), ds, Options{
 		Epsilon: 1, Beta: 0.3, Theta: 4, Mode: ModeBinary,
 		Score: score.F, Rand: rand.New(rand.NewSource(1)),
 	})
@@ -42,7 +43,7 @@ func TestFitRejectsBinaryModeOnGeneralDomains(t *testing.T) {
 
 func TestFitRejectsEmptyDataset(t *testing.T) {
 	ds := dataset.New([]dataset.Attribute{dataset.NewCategorical("a", []string{"0", "1"})})
-	_, err := Fit(ds, Options{
+	_, err := Fit(context.Background(), ds, Options{
 		Epsilon: 1, Beta: 0.3, Theta: 4, Mode: ModeBinary,
 		Score: score.F, Rand: rand.New(rand.NewSource(1)),
 	})
@@ -54,7 +55,7 @@ func TestFitRejectsEmptyDataset(t *testing.T) {
 func TestFitRejectsMismatchedScorer(t *testing.T) {
 	ds := chainData(100, 3)
 	sc := score.NewScorer(score.MI, ds)
-	_, err := Fit(ds, Options{
+	_, err := Fit(context.Background(), ds, Options{
 		Epsilon: 1, Beta: 0.3, Theta: 4, Mode: ModeBinary,
 		Score: score.F, Scorer: sc, Rand: rand.New(rand.NewSource(1)),
 	})
@@ -67,7 +68,7 @@ func TestFitDeterministicGivenSeed(t *testing.T) {
 	ds := chainData(1000, 4)
 	run := func() *dataset.Dataset {
 		rng := rand.New(rand.NewSource(99))
-		syn, err := Synthesize(ds, Options{
+		syn, err := Synthesize(context.Background(), ds, Options{
 			Epsilon: 0.5, Beta: 0.3, Theta: 4, K: -1,
 			Mode: ModeBinary, Score: score.F, Rand: rng,
 		})
@@ -92,7 +93,7 @@ func TestFitDeterministicGivenSeed(t *testing.T) {
 func TestFitMaxKCap(t *testing.T) {
 	ds := chainData(20000, 5)
 	rng := rand.New(rand.NewSource(6))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 10, Beta: 0.3, Theta: 4, K: -1, MaxK: 1,
 		Mode: ModeBinary, Score: score.F, Rand: rng,
 	})
@@ -107,7 +108,7 @@ func TestFitMaxKCap(t *testing.T) {
 func TestFitForcedK(t *testing.T) {
 	ds := chainData(2000, 7)
 	rng := rand.New(rand.NewSource(8))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 1, Beta: 0.3, Theta: 4, K: 3,
 		Mode: ModeBinary, Score: score.F, Rand: rng,
 	})
@@ -127,7 +128,7 @@ func TestAccuracyImprovesWithEpsilon(t *testing.T) {
 		const reps = 3
 		for r := 0; r < reps; r++ {
 			rng := rand.New(rand.NewSource(int64(100 + r)))
-			syn, err := Synthesize(ds, Options{
+			syn, err := Synthesize(context.Background(), ds, Options{
 				Epsilon: eps, Beta: 0.3, Theta: 4, K: -1,
 				Mode: ModeBinary, Score: score.F, Rand: rng,
 			})
@@ -163,7 +164,7 @@ func TestInfiniteMarginalBudgetHelps(t *testing.T) {
 		const reps = 3
 		for r := 0; r < reps; r++ {
 			rng := rand.New(rand.NewSource(int64(200 + r)))
-			syn, err := Synthesize(ds, Options{
+			syn, err := Synthesize(context.Background(), ds, Options{
 				Epsilon: 0.05, Beta: 0.3, Theta: 4, K: -1,
 				Mode: ModeBinary, Score: score.F, Rand: rng,
 				InfiniteMarginalBudget: infMarg,
@@ -185,7 +186,7 @@ func TestInfiniteMarginalBudgetHelps(t *testing.T) {
 func TestSynthesizeSameCardinality(t *testing.T) {
 	ds := mixedData(1234, 11)
 	rng := rand.New(rand.NewSource(12))
-	syn, err := Synthesize(ds, DefaultOptions(1.0, rng))
+	syn, err := Synthesize(context.Background(), ds, DefaultOptions(1.0, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +198,14 @@ func TestSynthesizeSameCardinality(t *testing.T) {
 func TestModelSampleZeroRows(t *testing.T) {
 	ds := chainData(500, 13)
 	rng := rand.New(rand.NewSource(14))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 1, Beta: 0.3, Theta: 4, K: 1,
 		Mode: ModeBinary, Score: score.F, Rand: rng,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if syn := m.Sample(0, rng); syn.N() != 0 {
+	if syn := m.SampleP(0, rng, 0); syn.N() != 0 {
 		t.Error("zero-row sample should be empty")
 	}
 }

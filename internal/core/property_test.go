@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,7 +60,7 @@ func TestSynthesizeAlwaysSchemaValid(t *testing.T) {
 			eps = 0.05
 		}
 		rng := rand.New(rand.NewSource(seed + 7))
-		syn, err := Synthesize(ds, Options{
+		syn, err := Synthesize(context.Background(), ds, Options{
 			Epsilon: eps, Beta: 0.3, Theta: 4,
 			Mode: ModeGeneral, Score: score.R,
 			UseHierarchy: useHier, Consistency: consistent, Rand: rng,
@@ -91,7 +92,7 @@ func TestFitInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		ds := randomSchemaData(seed)
 		rng := rand.New(rand.NewSource(seed + 13))
-		m, err := Fit(ds, Options{
+		m, err := Fit(context.Background(), ds, Options{
 			Epsilon: 0.4, Beta: 0.3, Theta: 4,
 			Mode: ModeGeneral, Score: score.R, UseHierarchy: true, Rand: rng,
 		})

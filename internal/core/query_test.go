@@ -77,14 +77,19 @@ func bruteQuery(m *Model, attrs []int, levels []int, masks map[int][]bool) []flo
 	return out
 }
 
-// TestQueryMarginalBitIdenticalToInferMarginal: on InferMarginal's query
-// class — raw-level marginals, no evidence — the v2 API must return the
-// very same bits, at every parallelism setting.
+// TestQueryMarginalBitIdenticalToInferMarginal: on the query class the
+// retired InferMarginal answered — raw-level marginals, no evidence —
+// Query must return the very bits of the direct engine call it made,
+// at every parallelism setting.
 func TestQueryMarginalBitIdenticalToInferMarginal(t *testing.T) {
 	m, _ := noiselessModel(t, 31)
 	names := []string{"a", "b", "c", "d", "e", "f"}
 	for _, attrs := range [][]int{{0}, {3}, {1, 4}, {5, 0, 2}, {2, 1, 0, 3}} {
-		legacy, err := m.InferMarginal(attrs, 0)
+		targets := make([]infer.Target, len(attrs))
+		for i, a := range attrs {
+			targets[i] = infer.Target{Attr: a}
+		}
+		legacy, err := m.engine().Joint(context.Background(), targets, nil, infer.Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +107,7 @@ func TestQueryMarginalBitIdenticalToInferMarginal(t *testing.T) {
 			}
 			for i := range legacy.P {
 				if res.P[i] != legacy.P[i] {
-					t.Fatalf("attrs %v parallelism %d cell %d: Query %v, InferMarginal %v (bit-identity)",
+					t.Fatalf("attrs %v parallelism %d cell %d: Query %v, engine %v (bit-identity)",
 						attrs, par, i, res.P[i], legacy.P[i])
 				}
 			}
@@ -228,7 +233,7 @@ func TestQueryProbAndCount(t *testing.T) {
 func TestQueryAtLevel(t *testing.T) {
 	ds := mixedData(4000, 35)
 	rng := rand.New(rand.NewSource(36))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 0.05, Beta: 0.3, Theta: 4,
 		Mode: ModeGeneral, Score: score.R, UseHierarchy: true, Rand: rng,
 		InfiniteMarginalBudget: true,
@@ -264,7 +269,7 @@ func TestQueryAtLevel(t *testing.T) {
 func TestQueryContinuousValueSelectsBin(t *testing.T) {
 	ds := mixedData(4000, 37)
 	rng := rand.New(rand.NewSource(38))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 0.05, Beta: 0.3, Theta: 4,
 		Mode: ModeGeneral, Score: score.R, UseHierarchy: true, Rand: rng,
 		InfiniteMarginalBudget: true,
@@ -301,7 +306,7 @@ func TestQueryImpossibleEvidence(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		ds.Append([]uint16{0, uint16(rng.Intn(2))})
 	}
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 1, Beta: 0.3, Theta: 4, K: 1,
 		Mode: ModeBinary, Score: score.F, Rand: rng,
 		InfiniteNetworkBudget: true, InfiniteMarginalBudget: true,

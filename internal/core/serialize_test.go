@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -16,7 +17,7 @@ import (
 func TestModelJSONRoundTrip(t *testing.T) {
 	ds := mixedData(3000, 31)
 	rng := rand.New(rand.NewSource(32))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 0.5, Beta: 0.3, Theta: 4,
 		Mode: ModeGeneral, Score: score.R, UseHierarchy: true, Rand: rng,
 	})
@@ -36,8 +37,8 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	}
 	// The reloaded model must sample the identical stream given the
 	// same RNG state.
-	a := m.Sample(500, rand.New(rand.NewSource(7)))
-	b := back.Sample(500, rand.New(rand.NewSource(7)))
+	a := m.SampleP(500, rand.New(rand.NewSource(7)), 0)
+	b := back.SampleP(500, rand.New(rand.NewSource(7)), 0)
 	for r := 0; r < a.N(); r++ {
 		for c := 0; c < a.D(); c++ {
 			if a.Value(r, c) != b.Value(r, c) {
@@ -90,7 +91,7 @@ func validArtifact(t *testing.T) map[string]any {
 	t.Helper()
 	validArtifactOnce.Do(func() {
 		ds := mixedData(800, 41)
-		m, err := Fit(ds, Options{
+		m, err := Fit(context.Background(), ds, Options{
 			Epsilon: 1, Beta: 0.3, Theta: 4,
 			Mode: ModeGeneral, Score: score.R, UseHierarchy: true,
 			Rand: rand.New(rand.NewSource(42)),
@@ -271,7 +272,7 @@ func TestReadModelJSONTruncationsNeverPanic(t *testing.T) {
 func TestReadModelJSONValidatesStructure(t *testing.T) {
 	ds := chainData(500, 33)
 	rng := rand.New(rand.NewSource(34))
-	m, err := Fit(ds, Options{
+	m, err := Fit(context.Background(), ds, Options{
 		Epsilon: 1, Beta: 0.3, Theta: 4, K: 1,
 		Mode: ModeBinary, Score: score.F, Rand: rng,
 	})

@@ -2,9 +2,8 @@ package core
 
 // Tests pinning the shared-scan integration: the cached joint
 // materialization inside NoisyConditionals* must be bit-identical to the
-// uncached MaterializeP route at every parallelism (including the
-// Parallelism=1 legacy-serial contract), and bounding the scorer memo
-// must never change a fitted model.
+// uncached MaterializeP route at every parallelism, and bounding the
+// scorer memo must never change a fitted model.
 
 import (
 	"bytes"
@@ -17,7 +16,7 @@ import (
 )
 
 // TestMaterializeJointCachedBitIdentical checks the index-cache route
-// against marginal.MaterializeP for serial and parallel normalization.
+// against marginal.MaterializeP at every parallelism.
 func TestMaterializeJointCachedBitIdentical(t *testing.T) {
 	ds := chainData(2999, 31) // odd n: 1/n inexact, normalization drift would show
 	pair := APPair{
@@ -55,7 +54,7 @@ func TestMaterializeJointCachedBitIdentical(t *testing.T) {
 func TestNoisyConditionalsCachedBitIdentical(t *testing.T) {
 	ds := chainData(2500, 32)
 	sc := score.NewScorer(score.F, ds)
-	net := GreedyBayesBinary(ds, 2, 0.5, sc, 2, rand.New(rand.NewSource(9)))
+	net := greedyBinary(t, ds, 2, 0.5, sc, 2, rand.New(rand.NewSource(9)))
 	for _, par := range []int{1, 2, 4} {
 		want, err := noisyConditionalsBinary(context.Background(), ds, net, 2, 1.0, false, false, par, rand.New(rand.NewSource(10)), nil, nil, nil)
 		if err != nil {
@@ -94,7 +93,7 @@ func TestFitBoundedScorerCacheBitIdentical(t *testing.T) {
 			if mode == ModeGeneral {
 				ds = mixedData(2000, 33)
 			}
-			m, err := Fit(ds, opt)
+			m, err := Fit(context.Background(), ds, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,6 @@ import (
 	"iter"
 
 	"privbayes/internal/dataset"
-	"privbayes/internal/parallel"
 )
 
 // StreamChunkRows is the row granularity of streaming synthesis:
@@ -71,10 +70,9 @@ func SynthSource(src Source) SynthOption {
 func SynthSeed(seed int64) SynthOption { return SynthSource(NewSource(seed)) }
 
 // SynthParallelism bounds the sampling worker pool per generated chunk;
-// <= 0 (the default) uses all CPU cores. Streaming always runs the
-// chunked worker-count-independent sampling scheme, so the emitted rows
-// are byte-identical at every setting — parallelism only changes how
-// fast chunks are produced.
+// <= 0 (the default) uses all CPU cores. Sampling is worker-count
+// independent, so the emitted rows are byte-identical at every setting
+// — parallelism only changes how fast chunks are produced.
 func SynthParallelism(p int) SynthOption {
 	return func(c *synthConfig) { c.parallelism = p }
 }
@@ -93,15 +91,6 @@ func resolveSynth(opts []SynthOption) synthConfig {
 	}
 	c.source = c.source.orCrypto()
 	return c
-}
-
-// streamParallelism pins the effective sampling parallelism to the
-// chunked (worker-count-independent) scheme: parallelism 1 would select
-// the sampler's serial legacy RNG stream, which draws different tuples,
-// so the floor keeps a stream's bytes independent of the machine and
-// of the caller's worker setting.
-func streamParallelism(p int) int {
-	return max(parallel.Workers(p), 2)
 }
 
 // Synthesize streams n synthetic rows as a Go iterator. Rows are
@@ -130,11 +119,10 @@ func (m *Model) Synthesize(ctx context.Context, n int, opts ...SynthOption) iter
 			return
 		}
 		rng := cfg.source.Rand()
-		eff := streamParallelism(cfg.parallelism)
 		cfg.progress.start(PhaseSampling, n)
 		for lo := 0; lo < n; lo += StreamChunkRows {
 			rows := min(StreamChunkRows, n-lo)
-			chunk, err := m.SampleContext(ctx, rows, rng, eff)
+			chunk, err := m.SampleContext(ctx, rows, rng, cfg.parallelism, nil)
 			if err != nil {
 				yield(nil, err)
 				return
@@ -166,7 +154,6 @@ func (m *Model) SynthesizeTo(ctx context.Context, w io.Writer, n int, format For
 	}
 	cfg := resolveSynth(opts)
 	rng := cfg.source.Rand()
-	eff := streamParallelism(cfg.parallelism)
 
 	var cw *csv.Writer
 	var jw *dataset.JSONLWriter
@@ -185,7 +172,7 @@ func (m *Model) SynthesizeTo(ctx context.Context, w io.Writer, n int, format For
 	cfg.progress.start(PhaseSampling, n)
 	for lo := 0; lo < n; lo += StreamChunkRows {
 		rows := min(StreamChunkRows, n-lo)
-		chunk, err := m.SampleContext(ctx, rows, rng, eff)
+		chunk, err := m.SampleContext(ctx, rows, rng, cfg.parallelism, nil)
 		if err != nil {
 			return err
 		}

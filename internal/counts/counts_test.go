@@ -33,7 +33,7 @@ func randomDataset(seed int64, n int, attrs []dataset.Attribute) *dataset.Datase
 	return ds
 }
 
-func registerAll(t *testing.T, s *Store) {
+func registerAll(t testing.TB, s *Store) {
 	t.Helper()
 	v := func(a int) marginal.Var { return marginal.Var{Attr: a} }
 	for _, reg := range []struct {
@@ -222,6 +222,11 @@ func TestRegisterLimits(t *testing.T) {
 	}
 	if err := s.Register([]marginal.Var{v(9)}, []marginal.Var{v(0)}); err == nil {
 		t.Fatal("out-of-schema variable accepted")
+	}
+	for _, level := range []int{-1, attrs[0].Height()} {
+		if err := s.Register(nil, []marginal.Var{{Attr: 0, Level: level}}); err == nil {
+			t.Fatalf("taxonomy level %d accepted", level)
+		}
 	}
 }
 

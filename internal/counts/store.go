@@ -120,6 +120,9 @@ func (s *Store) Register(parents []marginal.Var, children []marginal.Var) error 
 		if v.Attr < 0 || v.Attr >= len(s.attrs) {
 			return fmt.Errorf("counts: variable %v outside schema of %d attributes", v, len(s.attrs))
 		}
+		if h := s.attrs[v.Attr].Height(); v.Level < 0 || v.Level >= h {
+			return fmt.Errorf("counts: variable %v: attribute has taxonomy levels [0, %d)", v, h)
+		}
 	}
 	piDim, ok := marginal.ParentConfigs(s.vds, parents)
 	if !ok {

@@ -88,6 +88,27 @@ func (p *publisher) wait(t *testing.T) string {
 	}
 }
 
+// waitMarked polls the dataset's status until its fit marker names
+// model id. Publish runs before the marker is written, so a status read
+// straight after publisher.wait can still see the previous fit.
+func waitMarked(t *testing.T, c *Curator, id string) Status {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, err := c.Status("adult")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ModelID == id {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for the fit marker of %s (status %+v)", id, st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func modelJSON(t *testing.T, m *privbayes.Model, eps float64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -266,11 +287,8 @@ func TestRefitColdThenIncremental(t *testing.T) {
 	if got := led.Get("adult").Spent; got != 1.8 {
 		t.Fatalf("ε spent after two refits: %g, want 1.8", got)
 	}
-	st, err := c.Status("adult")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ModelID != incID || st.FitKind != "incremental" || st.FitRows != 3000 || st.UnfittedRows != 0 {
+	st := waitMarked(t, c, incID)
+	if st.FitKind != "incremental" || st.FitRows != 3000 || st.UnfittedRows != 0 {
 		t.Fatalf("status after refits: %+v", st)
 	}
 	if st.StalenessSeconds != 0 {
@@ -397,7 +415,7 @@ func TestRefitChargeIdempotency(t *testing.T) {
 		if id != "adult-refit-1400" {
 			t.Fatalf("post-restart refit id %q, want adult-refit-1400", id)
 		}
-		st, _ := c2.Status("adult")
+		st := waitMarked(t, c2, id)
 		if st.FitKind != "incremental" {
 			t.Fatalf("post-restart refit kind %q, want incremental (store rebuilt from the log)", st.FitKind)
 		}

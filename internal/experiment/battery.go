@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"fmt"
 	"sync"
 
@@ -65,7 +67,7 @@ func runPanelOnce(cfg Config, scorers *scorerCache, p batteryPanel, eps float64,
 		opt := cfg.defaultOptions(ds, eps, rng)
 		opt.Scorer = scorers.get(opt.Score, p.dsName, ds)
 		mutate(&opt)
-		m, err := core.Fit(ds, opt)
+		m, err := core.Fit(context.Background(), ds, opt)
 		if err != nil {
 			return 0, err
 		}
@@ -85,7 +87,7 @@ func runPanelOnce(cfg Config, scorers *scorerCache, p batteryPanel, eps float64,
 		opt := cfg.defaultOptions(train, eps, rng)
 		opt.Scorer = scorers.get(opt.Score, fmt.Sprintf("%s/train%d", p.dsName, repeat), train)
 		mutate(&opt)
-		m, err := core.Fit(train, opt)
+		m, err := core.Fit(context.Background(), train, opt)
 		if err != nil {
 			return 0, err
 		}

@@ -48,8 +48,8 @@ type Config struct {
 	// ACS, whose 2^23-cell histograms dominate runtime.
 	Heavy bool
 	// Parallelism bounds the worker pool of every PrivBayes run in the
-	// battery (see core.Options.Parallelism). <= 0 uses all cores; 1
-	// forces the serial code paths.
+	// battery (see core.Options.Parallelism). <= 0 uses all cores; the
+	// results do not depend on it.
 	Parallelism int
 	// Seed is the base seed; repeat r of any experiment derives its
 	// generator from Seed and r, so runs are reproducible.

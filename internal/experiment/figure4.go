@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"privbayes/internal/core"
 	"privbayes/internal/score"
 )
@@ -47,7 +49,7 @@ func runFigure4(cfg Config, col *collector) error {
 					} else {
 						opt.Mode = core.ModeGeneral // vanilla: no hierarchy
 					}
-					m, err := core.Fit(ds, opt)
+					m, err := core.Fit(context.Background(), ds, opt)
 					if err != nil {
 						return err
 					}
@@ -71,7 +73,7 @@ func runFigure4(cfg Config, col *collector) error {
 				} else {
 					opt.Mode = core.ModeGeneral
 				}
-				m, err := core.Fit(ds, opt)
+				m, err := core.Fit(context.Background(), ds, opt)
 				if err != nil {
 					return err
 				}

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"fmt"
 	"math/rand"
 
@@ -30,7 +32,7 @@ func runMarginalBaselines(cfg Config, col *collector, dsName string, alphas []in
 		{"PrivBayes", func(alpha int, eps float64, rng *rand.Rand) (baseline.MarginalSource, error) {
 			opt := cfg.defaultOptions(ds, eps, rng)
 			opt.Scorer = scorers.get(opt.Score, dsName, ds)
-			m, err := core.Fit(ds, opt)
+			m, err := core.Fit(context.Background(), ds, opt)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"fmt"
 
 	"privbayes/internal/core"
@@ -40,7 +42,7 @@ func runSVMBaselines(cfg Config, col *collector, dsName string) error {
 			rng := cfg.rng("svmfig", dsName, "pb", eps, r)
 			opt := cfg.defaultOptions(train, eps, rng)
 			opt.Scorer = scorers.get(opt.Score, fmt.Sprintf("%s/train%d", dsName, r), train)
-			m, err := core.Fit(train, opt)
+			m, err := core.Fit(context.Background(), train, opt)
 			if err != nil {
 				return err
 			}

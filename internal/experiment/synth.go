@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"fmt"
 	"math/rand"
 	"sync"
@@ -54,7 +56,7 @@ func synthesizeEncoded(kind encoding.Kind, dsKey string, ds *dataset.Dataset, ep
 			Parallelism: cfg.Parallelism, Rand: rng,
 			Scorer: scorers.get(score.F, encKey, view.ds),
 		}
-		m, err := core.Fit(view.ds, opt)
+		m, err := core.Fit(context.Background(), view.ds, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +69,7 @@ func synthesizeEncoded(kind encoding.Kind, dsKey string, ds *dataset.Dataset, ep
 			UseHierarchy: kind == encoding.Hierarchical,
 			Scorer:       scorers.get(score.R, dsKey, ds),
 		}
-		m, err := core.Fit(ds, opt)
+		m, err := core.Fit(context.Background(), ds, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -114,10 +114,7 @@ func (e *Engine) Joint(ctx context.Context, targets []Target, evidence []Evidenc
 	if maxCells <= 0 {
 		maxCells = DefaultMaxCells
 	}
-	workers := 1
-	if opt.Parallelism != 1 {
-		workers = parallel.Workers(opt.Parallelism)
-	}
+	workers := parallel.Workers(opt.Parallelism)
 
 	want := make(map[int]bool, len(targets))
 	for _, t := range targets {

@@ -215,7 +215,7 @@ func (f *factor) sumOut(attr int, allowed []bool) *factor {
 // (Attribute.Generalize), so one query answers at any granularity the
 // hierarchy defines. Accumulation visits factor cells in index order —
 // for level-0 targets this is exactly the legacy projection, bit for
-// bit. Duplicate targets are allowed, as InferMarginal always has.
+// bit. Duplicate targets are allowed.
 func (f *factor) project(attrs []dataset.Attribute, targets []Target) (*marginal.Table, error) {
 	out := &marginal.Table{
 		Vars: make([]marginal.Var, len(targets)),

@@ -47,14 +47,14 @@ func TestMaterializeCountsPExact(t *testing.T) {
 }
 
 // TestMaterializePDeterministic checks the normalized parallel
-// materialization is bit-identical across worker counts >= 2 and within
-// ULP noise of the serial result.
+// materialization is bit-identical across worker counts (1 included)
+// and within ULP noise of Materialize's float walk.
 func TestMaterializePDeterministic(t *testing.T) {
 	ds := randomData(9973, 5, 4, 2) // odd n: exercises the 1/n scale
 	vars := []Var{{Attr: 1}, {Attr: 4}}
 	serial := Materialize(ds, vars)
 	base := MaterializeP(ds, vars, 2)
-	for _, par := range []int{0, 3, 4, 16} {
+	for _, par := range []int{0, 1, 3, 4, 16} {
 		got := MaterializeP(ds, vars, par)
 		for i := range base.P {
 			if got.P[i] != base.P[i] {
@@ -72,16 +72,22 @@ func TestMaterializePDeterministic(t *testing.T) {
 	}
 }
 
-// TestMaterializePSerialPathIsLegacy checks parallelism 1 routes through
-// the original serial accumulation byte for byte.
+// TestMaterializePSerialPathIsLegacy checks the one-worker path:
+// parallelism 1 is exactly MaterializeCounts scaled by 1/n, byte for
+// byte, and within ULP noise of Materialize's +1/n float walk.
 func TestMaterializePSerialPathIsLegacy(t *testing.T) {
 	ds := randomData(5000, 3, 5, 3)
 	vars := []Var{{Attr: 0}, {Attr: 1}, {Attr: 2}}
-	want := Materialize(ds, vars)
+	want := MaterializeCounts(ds, vars)
+	want.Scale(1 / float64(ds.N()))
+	legacy := Materialize(ds, vars)
 	got := MaterializeP(ds, vars, 1)
 	for i := range want.P {
 		if got.P[i] != want.P[i] {
 			t.Fatalf("cell %d = %g, want %g", i, got.P[i], want.P[i])
+		}
+		if math.Abs(got.P[i]-legacy.P[i]) > 1e-12 {
+			t.Fatalf("cell %d = %g, float walk %g", i, got.P[i], legacy.P[i])
 		}
 	}
 }

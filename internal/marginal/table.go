@@ -232,14 +232,13 @@ const materializeChunk = 4096
 // to `parallelism` workers (<= 0 selects GOMAXPROCS; see
 // parallel.Workers). Workers count rows into per-worker scratch tables
 // and the exact integer partials are merged and scaled by 1/n, so the
-// result is bit-identical at every parallelism other than 1, on any
-// machine — counting is exact, so neither the worker count nor
-// scheduling can shift a cell. parallelism 1 — and only 1 — takes the
-// serial Materialize path, whose repeated 1/n accumulation may differ
-// from the merged counts in the last ULP.
+// result is bit-identical at every parallelism, on any machine —
+// counting is exact, so neither the worker count nor scheduling can
+// shift a cell. It may differ from Materialize's repeated 1/n
+// accumulation in the last ULP.
 func MaterializeP(ds *dataset.Dataset, vars []Var, parallelism int) *Table {
 	n := ds.N()
-	if parallelism == 1 || n == 0 {
+	if n == 0 {
 		return Materialize(ds, vars)
 	}
 	t := MaterializeCountsP(ds, vars, parallelism)
@@ -253,9 +252,6 @@ func MaterializeP(ds *dataset.Dataset, vars []Var, parallelism int) *Table {
 // at any parallelism.
 func MaterializeCountsP(ds *dataset.Dataset, vars []Var, parallelism int) *Table {
 	n := ds.N()
-	if parallelism == 1 || n == 0 {
-		return MaterializeCounts(ds, vars)
-	}
 	// The popcount kernel already beats the fan-out on eligible
 	// low-arity marginals, and its integer counts are the same exact
 	// values the merged per-worker partials would hold.

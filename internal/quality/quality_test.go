@@ -44,9 +44,9 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunParallelismInvariant: the determinism contract says any
-// parallelism other than 1 is bit-identical, so the quality report must
-// not depend on the worker bound.
+// TestRunParallelismInvariant: the determinism contract says output is
+// bit-identical at every parallelism, so the quality report must not
+// depend on the worker bound.
 func TestRunParallelismInvariant(t *testing.T) {
 	opt2 := smallOptions()
 	opt4 := smallOptions()

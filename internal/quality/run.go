@@ -30,10 +30,9 @@ type Options struct {
 	// TrainRows / TestRows / SynthRows size the source sample, the SVM
 	// holdout and the synthetic release.
 	TrainRows, TestRows, SynthRows int
-	// Parallelism is pinned to 2 by DefaultOptions: any value other
-	// than 1 is bit-identical on every machine (the repo's determinism
-	// contract), and 2 never silently degrades to the distinct serial
-	// stream on single-core runners.
+	// Parallelism is 2 in DefaultOptions. Output is bit-identical at
+	// every value on every machine (the repo's determinism contract);
+	// the setting only bounds the worker pools.
 	Parallelism int
 	// Thresholds gates results per scenario name; nil disables gating.
 	Thresholds map[string][]Limits
@@ -190,7 +189,7 @@ func runCell(ctx context.Context, sc *Scenario, train, test *dataset.Dataset, ev
 	res.Structure = StructureRecovery(sc.Truth.Edges(), &model.Network)
 
 	synthRng := rand.New(rand.NewSource(seedFor(sc.Name, eps, "synth")))
-	synth, err := model.SampleContext(ctx, opt.SynthRows, synthRng, opt.Parallelism)
+	synth, err := model.SampleContext(ctx, opt.SynthRows, synthRng, opt.Parallelism, nil)
 	if err != nil {
 		return res, fmt.Errorf("synthesize: %w", err)
 	}

@@ -12,10 +12,9 @@ package score
 // The engine's outputs are bit-identical to the legacy per-candidate
 // path: joint counts merge exactly (integers), and marginal.Ladder
 // converts counts into the very float values the serial Materialize
-// accumulates, so MI, F and R see byte-equal inputs. That preserves both
-// PR 1 contracts — identical learned networks at every Parallelism
-// setting, including the Parallelism=1 legacy-serial contract — while
-// making the serial path itself several times faster.
+// accumulates, so MI, F and R see byte-equal inputs. Learned networks
+// are therefore identical at every Parallelism setting, 1 included,
+// while single-worker scoring itself runs several times faster.
 
 import (
 	"context"

@@ -3,9 +3,7 @@ package score
 // Equivalence and stress tests for the shared-scan batch engine: the
 // acceptance contract is that ScoreBatch returns values bit-identical to
 // the legacy per-candidate path for every score function, at taxonomy
-// levels above zero, and at every parallelism — including the
-// Parallelism=1 legacy-serial contract, which holds because the serial
-// outputs themselves are byte-equal.
+// levels above zero, and at every parallelism, 1 included.
 
 import (
 	"math"

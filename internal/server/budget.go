@@ -72,23 +72,13 @@ func (b *workerBudget) acquire(ctx context.Context, want int, shed bool) (got in
 	})
 	defer stop()
 
-	// Grants come in units of at least two slots (budget permitting):
-	// server-side sampling always runs the chunked parallel path, whose
-	// determinism contract needs parallelism >= 2, and the floor keeps
-	// the grant honest about those two goroutines. A total budget of 1
-	// is the single exception — there the grant is 1 and the sampler
-	// oversubscribes by one goroutine.
-	floor := min(2, b.total)
-	if want < floor {
-		want = floor
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if shed && b.avail < floor && b.waiting >= b.maxWait {
+	if shed && b.avail == 0 && b.waiting >= b.maxWait {
 		return 0, nil, errOverloaded
 	}
 	b.waiting++
-	for b.avail < floor {
+	for b.avail == 0 {
 		if err := ctx.Err(); err != nil {
 			b.waiting--
 			return 0, nil, err

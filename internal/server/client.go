@@ -233,7 +233,7 @@ func (c *Client) Synthesize(ctx context.Context, id string, sr SynthesizeRequest
 }
 
 // Marginal asks for the exact marginal distribution over the named
-// attributes (see Model.InferMarginal). maxCells 0 accepts the server
+// attributes (see Model.Query with Marginal). maxCells 0 accepts the server
 // default bound.
 func (c *Client) Marginal(ctx context.Context, id string, attrs []string, maxCells int) (MarginalResult, error) {
 	body, err := json.Marshal(marginalRequest{Attrs: attrs, MaxCells: maxCells})

@@ -267,10 +267,11 @@ func TestUploadRoundTrip(t *testing.T) {
 func TestLedgerFileCannotBeClobbered(t *testing.T) {
 	dir := t.TempDir()
 	ledgerPath := filepath.Join(dir, "ledger.json")
-	ledger, err := accountant.Open(ledgerPath, 1.0)
+	ledger, err := accountant.OpenWAL(ledgerPath, 1.0, accountant.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ledger.Close()
 	if err := ledger.Charge("d", 0.9); err != nil {
 		t.Fatal(err)
 	}
@@ -285,20 +286,21 @@ func TestLedgerFileCannotBeClobbered(t *testing.T) {
 		t.Fatalf("upload as 'ledger': %v", err)
 	}
 	// The spend survives on disk.
-	back, err := accountant.Open(ledgerPath, 1.0)
+	back, err := accountant.OpenWAL(ledgerPath, 1.0, accountant.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	back.Close()
 	if e := back.Get("d"); e.Spent != 0.9 {
 		t.Errorf("ledger entry after attack = %+v", e)
 	}
 
 	// Fail-closed: a model artifact written over the ledger path is
-	// rejected at Open, never silently loaded as an empty ledger.
+	// rejected at open, never silently loaded as an empty ledger.
 	if err := os.WriteFile(ledgerPath, artifact.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := accountant.Open(ledgerPath, 1.0); err == nil {
+	if _, err := accountant.OpenWAL(ledgerPath, 1.0, accountant.Options{}); err == nil {
 		t.Error("clobbered ledger must fail to open")
 	}
 }
@@ -307,11 +309,12 @@ func TestLedgerFileCannotBeClobbered(t *testing.T) {
 // not produce a spurious "corrupt model" load error.
 func TestLoadDirSkipsLedgerFile(t *testing.T) {
 	dir := t.TempDir()
-	ledger, err := accountant.Open(filepath.Join(dir, "ledger.json"), 1.0)
+	ledger, err := accountant.OpenWAL(filepath.Join(dir, "ledger.json"), 1.0, accountant.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ledger.Charge("d", 0.1); err != nil { // materialize the file
+	defer ledger.Close()
+	if err := ledger.Charge("d", 0.1); err != nil {
 		t.Fatal(err)
 	}
 	var logs []string
@@ -428,7 +431,7 @@ func TestMarginalMatchesInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.InferMarginal([]int{0, 2}, 0)
+	want, err := m.Query(context.Background(), core.Marginal("color", "employed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -717,9 +720,28 @@ func TestWorkerBudgetAcquire(t *testing.T) {
 	if err != nil || got != 3 {
 		t.Fatalf("acquire(3) = %d, %v", got, err)
 	}
-	// Elastic above the floor: asks for 8 but only 1 slot free — below
-	// the 2-slot determinism floor, so it blocks until a release, then
+	// Elastic: asks for 8 with 1 slot free and takes that slot at once.
+	g1, rel1, err := b.acquire(ctx, 8, false)
+	if err != nil || g1 != 1 {
+		t.Fatalf("acquire(8) with 1 free = %d, %v, want 1", g1, err)
+	}
+	rel1()
+	release()
+	// Asks below 1 are raised to 1.
+	gotF, relF, err := b.acquire(ctx, 0, false)
+	if err != nil || gotF != 1 {
+		t.Fatalf("acquire(0) = %d, %v, want 1", gotF, err)
+	}
+	relF()
+	if b.available() != 4 {
+		t.Errorf("available = %d, want 4", b.available())
+	}
+	// An empty budget blocks the next ask until a release, which then
 	// takes everything available.
+	_, relAll, err := b.acquire(ctx, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan int, 1)
 	go func() {
 		g, rel, err := b.acquire(ctx, 8, false)
@@ -730,29 +752,20 @@ func TestWorkerBudgetAcquire(t *testing.T) {
 	}()
 	select {
 	case g := <-done:
-		t.Fatalf("acquire below the floor returned %d immediately", g)
+		t.Fatalf("acquire on an empty budget returned %d immediately", g)
 	case <-time.After(50 * time.Millisecond):
 	}
-	release()
+	relAll()
 	if g := <-done; g != 4 {
 		t.Errorf("unblocked acquire got %d, want 4", g)
 	}
-	// Asks below the floor are raised to it.
-	gotF, relF, err := b.acquire(ctx, 1, false)
-	if err != nil || gotF != 2 {
-		t.Fatalf("acquire(1) = %d, %v, want floor grant 2", gotF, err)
-	}
-	relF()
-	if b.available() != 4 {
-		t.Errorf("available = %d, want 4", b.available())
-	}
-	// A total budget of 1 has floor 1 (the documented exception).
+	// A total budget of 1 grants 1.
 	b1 := newWorkerBudget(1, 64)
-	g1, rel1, err := b1.acquire(ctx, 4, false)
-	if err != nil || g1 != 1 {
-		t.Fatalf("budget-1 acquire = %d, %v", g1, err)
+	gb1, relb1, err := b1.acquire(ctx, 4, false)
+	if err != nil || gb1 != 1 {
+		t.Fatalf("budget-1 acquire = %d, %v", gb1, err)
 	}
-	rel1()
+	relb1()
 
 	// Cancelled context aborts a blocked acquire.
 	_, rel3, err := b.acquire(ctx, 4, false)

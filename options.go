@@ -168,8 +168,9 @@ func WithConsistency(enabled bool) Option {
 
 // WithParallelism bounds the worker pool for candidate scoring,
 // marginal counting and sampling. <= 0 (the default) uses all CPU
-// cores; 1 forces the serial code paths. For a fixed seed, output is
-// bit-identical at every parallelism other than 1, on any machine.
+// cores. It never changes output: for a fixed seed, models and
+// synthetic rows are bit-identical at every parallelism, on any
+// machine.
 func WithParallelism(p int) Option {
 	return func(c *config) { c.parallelism = p }
 }

@@ -68,7 +68,8 @@ func TestSynthesizeStreamEarlyBreak(t *testing.T) {
 }
 
 // TestSynthesizeToCSVMatchesWriteCSV: SynthesizeTo's CSV bytes equal
-// Dataset.WriteCSV of the equivalent SampleP call.
+// Dataset.WriteCSV of the equivalent SampleP call, at every
+// parallelism (1 included).
 func TestSynthesizeToCSVMatchesWriteCSV(t *testing.T) {
 	m := fitStreamModel(t)
 	const n, seed = 20_000, 93
@@ -76,12 +77,15 @@ func TestSynthesizeToCSVMatchesWriteCSV(t *testing.T) {
 	if err := m.SampleP(n, rand.New(rand.NewSource(seed)), 2).WriteCSV(&want); err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := m.SynthesizeTo(context.Background(), &got, n, FormatCSV, SynthSeed(seed)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatal("streamed CSV differs from materialized WriteCSV")
+	for _, par := range []int{0, 1, 2, 3} {
+		var got bytes.Buffer
+		if err := m.SynthesizeTo(context.Background(), &got, n, FormatCSV,
+			SynthSeed(seed), SynthParallelism(par)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("parallelism %d: streamed CSV differs from materialized WriteCSV", par)
+		}
 	}
 }
 

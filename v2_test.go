@@ -3,7 +3,6 @@ package privbayes
 import (
 	"bytes"
 	"context"
-	"math/rand"
 	"testing"
 )
 
@@ -32,118 +31,23 @@ func datasetsEqual(a, b *Dataset) bool {
 	return true
 }
 
-// TestV1ShimFitEquivalence: the deprecated FitV1 shim and the v2 Fit
-// produce byte-identical models for the same seed and options, on both
-// the general and the all-binary pipeline — the legacy surface is a
-// thin mapping, not a fork.
-func TestV1ShimFitEquivalence(t *testing.T) {
-	general := toyData(4000, 70)
-	binary := NewDataset([]Attribute{
-		NewCategorical("a", []string{"0", "1"}),
-		NewCategorical("b", []string{"0", "1"}),
-		NewCategorical("c", []string{"0", "1"}),
-		NewCategorical("d", []string{"0", "1"}),
-	})
-	rng := rand.New(rand.NewSource(71))
-	for i := 0; i < 4000; i++ {
-		a := rng.Intn(2)
-		binary.Append([]uint16{uint16(a), uint16(rng.Intn(2)), uint16(a), uint16(rng.Intn(2))})
-	}
-
-	cases := []struct {
-		name string
-		ds   *Dataset
-		v1   Options
-		v2   []Option
-	}{
-		{
-			"general defaults", general,
-			Options{Epsilon: 1},
-			[]Option{WithEpsilon(1)},
-		},
-		{
-			"general tuned", general,
-			Options{Epsilon: 0.5, Beta: 0.4, Theta: 3, Consistency: true, Parallelism: 2, ScorerCacheSize: 64},
-			[]Option{WithEpsilon(0.5), WithBeta(0.4), WithTheta(3), WithConsistency(true), WithParallelism(2), WithScorerCache(64)},
-		},
-		{
-			"general explicit MI", general,
-			Options{Epsilon: 1, Score: ScoreMI},
-			[]Option{WithEpsilon(1), WithScore(ScoreMI)},
-		},
-		{
-			"general no hierarchy", general,
-			Options{Epsilon: 1, DisableHierarchy: true},
-			[]Option{WithEpsilon(1), WithHierarchy(false)},
-		},
-		{
-			"binary defaults", binary,
-			Options{Epsilon: 1},
-			[]Option{WithEpsilon(1)},
-		},
-		{
-			"binary forced degree", binary,
-			Options{Epsilon: 1, Degree: 2},
-			[]Option{WithEpsilon(1), WithDegree(2)},
-		},
-	}
-	for _, tc := range cases {
-		const seed = 77
-		tc.v1.Rand = rand.New(rand.NewSource(seed))
-		v1m, err := FitV1(tc.ds, tc.v1)
-		if err != nil {
-			t.Fatalf("%s: v1: %v", tc.name, err)
-		}
-		v2m, err := Fit(context.Background(), tc.ds, append(tc.v2, WithSeed(seed))...)
-		if err != nil {
-			t.Fatalf("%s: v2: %v", tc.name, err)
-		}
-		if !bytes.Equal(modelBytes(t, v1m), modelBytes(t, v2m)) {
-			t.Errorf("%s: v1 and v2 models differ for seed %d", tc.name, seed)
-		}
-	}
-}
-
-// TestV1ShimSynthesizeEquivalence: SynthesizeV1 and the v2 Synthesize
-// consume their generator identically across fit and sampling, so the
-// released datasets match cell for cell — at the serial path
-// (Parallelism 1) and the chunked path alike.
-func TestV1ShimSynthesizeEquivalence(t *testing.T) {
+// TestSynthesizeIdenticalAcrossParallelism: the facade's one-call
+// release is a function of (data, options, seed) only — the same
+// synthetic dataset at every parallelism, 1 included.
+func TestSynthesizeIdenticalAcrossParallelism(t *testing.T) {
 	ds := toyData(5000, 80)
-	for _, par := range []int{0, 1, 2} {
-		const seed = 81
-		v1, err := SynthesizeV1(ds, Options{Epsilon: 1, Parallelism: par, Rand: rand.New(rand.NewSource(seed))})
+	synth := func(par int) *Dataset {
+		out, err := Synthesize(context.Background(), ds,
+			WithEpsilon(1), WithParallelism(par), WithSeed(81))
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := Synthesize(context.Background(), ds,
-			WithEpsilon(1), WithParallelism(par), WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
+		return out
+	}
+	want := synth(2)
+	for _, par := range []int{0, 1, 3} {
+		if !datasetsEqual(synth(par), want) {
+			t.Errorf("parallelism %d: synthetic dataset differs from parallelism 2", par)
 		}
-		if !datasetsEqual(v1, v2) {
-			t.Errorf("parallelism %d: v1 and v2 synthetic datasets differ", par)
-		}
-	}
-}
-
-// TestV1ShimRequiresRand preserves the v1 contract.
-func TestV1ShimRequiresRand(t *testing.T) {
-	ds := toyData(100, 82)
-	if _, err := FitV1(ds, Options{Epsilon: 1}); err == nil {
-		t.Fatal("missing Rand must error")
-	}
-}
-
-// TestV1ShimScoreZeroValueIsAuto: with ScoreSet gone, an unset Score
-// means automatic selection — the behaviour unset always had.
-func TestV1ShimScoreZeroValueIsAuto(t *testing.T) {
-	ds := toyData(500, 83)
-	m, err := FitV1(ds, Options{Epsilon: 1, Rand: rand.New(rand.NewSource(84))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ModelScore(m) != ScoreR {
-		t.Errorf("unset Score on general data = %v, want R", ModelScore(m))
 	}
 }
